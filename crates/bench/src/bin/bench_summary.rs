@@ -9,12 +9,16 @@
 //! simulation cache, the second runs hot — then writes one line of JSON to
 //! `BENCH_engine.json` and echoes it to stdout so CI logs carry the numbers
 //! without artifact plumbing. `--tier1-secs` lets the caller fold in the
-//! wall-clock of the tier-1 test suite it just ran.
+//! wall-clock of the tier-1 test suite it just ran. The cold simulations of
+//! the first pass are split into their two host-time stages: replaying the
+//! sampled blocks' traces, and replaying their sector streams through the
+//! L2 model.
 
 use memcnn_bench::util::Ctx;
 use memcnn_core::Mechanism;
 use memcnn_gpusim::simcache;
 use memcnn_models::all_networks;
+use memcnn_trace::perf;
 use serde::Serialize;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -40,6 +44,11 @@ struct Summary {
     cache_hits: u64,
     cache_misses: u64,
     cache_entries: u64,
+    /// Host ms cold simulations spent replaying block traces
+    /// (`sim.cold.trace_ns`).
+    cold_trace_ms: f64,
+    /// Host ms cold simulations spent in the L2 replay (`sim.cold.l2_ns`).
+    cold_l2_ms: f64,
     networks: Vec<NetworkRow>,
 }
 
@@ -68,6 +77,7 @@ fn main() {
     }
 
     let ctx = Ctx::titan_black();
+    let base = perf::baseline();
     let mut networks = Vec::new();
     for net in all_networks() {
         let t0 = Instant::now();
@@ -93,6 +103,8 @@ fn main() {
         cache_hits: stats.hits,
         cache_misses: stats.misses,
         cache_entries: stats.entries,
+        cold_trace_ms: base.delta_of("sim.cold.trace_ns") as f64 / 1e6,
+        cold_l2_ms: base.delta_of("sim.cold.l2_ns") as f64 / 1e6,
         networks,
     };
     let line = serde_json::to_string(&summary).expect("serialize summary");

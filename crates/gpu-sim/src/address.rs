@@ -32,6 +32,26 @@ impl DeviceBuffer {
     pub fn f32(&self, index: u64) -> u64 {
         self.addr(index, 4)
     }
+
+    /// Byte address of the first of `len` consecutive `elem_bytes`-sized
+    /// elements starting at `index`: the base of a warp run
+    /// ([`BlockTrace::global_load_runs`](crate::BlockTrace::global_load_runs)).
+    /// Debug builds check that the whole run is in the buffer.
+    #[inline]
+    pub fn run(&self, index: u64, len: u64, elem_bytes: u64) -> u64 {
+        debug_assert!(
+            (index + len) * elem_bytes <= self.bytes,
+            "run of {len} x {elem_bytes}B at element {index} out of buffer of {}B",
+            self.bytes
+        );
+        self.base + index * elem_bytes
+    }
+
+    /// [`run`](Self::run) of `f32` elements.
+    #[inline]
+    pub fn f32_run(&self, index: u64, len: u64) -> u64 {
+        self.run(index, len, 4)
+    }
 }
 
 /// Bump allocator for simulated device memory.
@@ -104,6 +124,23 @@ mod tests {
         let b = a.alloc_f32(10);
         assert_eq!(b.f32(0), b.base);
         assert_eq!(b.f32(3), b.base + 12);
+    }
+
+    #[test]
+    fn run_addressing() {
+        let mut a = AddressSpace::new();
+        let b = a.alloc_f32(10);
+        assert_eq!(b.f32_run(3, 7), b.f32(3));
+        assert_eq!(b.run(2, 3, 8), b.addr(2, 8));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of buffer")]
+    #[cfg(debug_assertions)]
+    fn run_past_the_buffer_panics_in_debug() {
+        let mut a = AddressSpace::new();
+        let b = a.alloc_f32(10);
+        let _ = b.f32_run(3, 8);
     }
 
     #[test]

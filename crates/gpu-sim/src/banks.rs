@@ -27,21 +27,34 @@ pub fn passes(byte_addrs: &[u64], bytes_per_lane: u64, mode: BankMode, banks: u3
     // over every word its lanes touch.
     let group_lanes = ((banks * bank_bytes) / bytes_per_lane.max(1)).max(1) as usize;
     let words_per_lane = bytes_per_lane.div_ceil(bank_bytes);
+    // Distinct words per bank, on the stack for any real device.
+    let mut stack = [0u32; 64];
+    let mut heap = Vec::new();
+    let per_bank: &mut [u32] = if banks as usize <= stack.len() {
+        &mut stack[..banks as usize]
+    } else {
+        heap.resize(banks as usize, 0);
+        &mut heap
+    };
     let mut total = 0u32;
     for group in byte_addrs.chunks(group_lanes) {
-        // word index -> bank; lanes touching the same word broadcast.
-        let mut per_bank_words: Vec<Vec<u64>> = vec![Vec::new(); banks as usize];
-        for &a in group {
-            for k in 0..words_per_lane {
-                let word = a / bank_bytes + k;
-                let bank = (word % banks) as usize;
-                if !per_bank_words[bank].contains(&word) {
-                    per_bank_words[bank].push(word);
-                }
+        per_bank.fill(0);
+        // The words this group touches, in lane order; lanes touching the
+        // same word broadcast, so each word counts once, at its first touch.
+        let words =
+            || group.iter().flat_map(|&a| (0..words_per_lane).map(move |k| a / bank_bytes + k));
+        let mut worst = 0;
+        for (i, word) in words().enumerate() {
+            let bank = (word % banks) as usize;
+            // A bank seen for the first time cannot hold a repeat; only a
+            // contended bank looks back for the word.
+            if per_bank[bank] > 0 && words().take(i).any(|w| w == word) {
+                continue;
             }
+            per_bank[bank] += 1;
+            worst = worst.max(per_bank[bank]);
         }
-        let worst = per_bank_words.iter().map(|w| w.len()).max().unwrap_or(0);
-        total += worst.max(1) as u32;
+        total += worst.max(1);
     }
     total
 }

@@ -2,22 +2,27 @@
 //!
 //! The model works at sector (32 B) granularity — Kepler's L2 is sectored,
 //! and modelling whole 128 B lines would overstate the cost of the strided
-//! accesses this reproduction cares about. LRU state is an age counter per
-//! way; sets are found by the low sector bits.
+//! accesses this reproduction cares about. Each set keeps its resident
+//! sectors in recency order, most recent first, so a hit moves its way to
+//! the front and a miss evicts the last way; sets are found by the low
+//! sector bits.
 
 /// A set-associative, LRU, sector-granular cache.
 #[derive(Clone, Debug)]
 pub struct Cache {
     sets: usize,
     assoc: usize,
-    /// tags[set * assoc + way], u64::MAX = invalid.
+    /// Per set, its ways most recently used first:
+    /// `tags[set * assoc..(set + 1) * assoc]`. Free ways hold [`FREE`] and,
+    /// as fills enter at the front, trail the resident ones.
     tags: Vec<u64>,
-    /// Monotonic per-access counter for LRU ages.
-    ages: Vec<u64>,
-    tick: u64,
     hits: u64,
     misses: u64,
 }
+
+/// Tag of a free way (no sector index reaches it: sectors are byte
+/// addresses over 32).
+const FREE: u64 = u64::MAX;
 
 impl Cache {
     /// Build a cache of `size_bytes` with `assoc` ways and `sector_bytes`
@@ -27,45 +32,31 @@ impl Cache {
         let sectors = (size_bytes / sector_bytes).max(1) as usize;
         let assoc = (assoc as usize).clamp(1, sectors);
         let sets = (sectors / assoc).max(1);
-        Cache {
-            sets,
-            assoc,
-            tags: vec![u64::MAX; sets * assoc],
-            ages: vec![0; sets * assoc],
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
+        Cache { sets, assoc, tags: vec![FREE; sets * assoc], hits: 0, misses: 0 }
     }
 
-    /// Access one sector; returns `true` on hit. Misses fill the LRU way.
+    /// Access one sector; returns `true` on hit. Misses fill a free way,
+    /// or else evict the least recently used one.
     pub fn access(&mut self, sector: u64) -> bool {
-        self.tick += 1;
-        let set = (sector as usize) % self.sets;
-        let base = set * self.assoc;
-        let ways = &mut self.tags[base..base + self.assoc];
-        if let Some(way) = ways.iter().position(|&t| t == sector) {
-            self.ages[base + way] = self.tick;
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        // Evict LRU (or an invalid way).
-        let mut victim = 0;
-        let mut oldest = u64::MAX;
-        for w in 0..self.assoc {
-            if self.tags[base + w] == u64::MAX {
-                victim = w;
-                break;
+        let set = (sector % self.sets as u64) as usize;
+        let ways = &mut self.tags[set * self.assoc..(set + 1) * self.assoc];
+        let hit = ways.iter().position(|&t| t == sector);
+        // Shift the more recent ways down one, over the hit way or else the
+        // last way (free, or the LRU one being evicted), and put `sector`
+        // in front.
+        let shifted = match hit {
+            Some(way) => {
+                self.hits += 1;
+                way
             }
-            if self.ages[base + w] < oldest {
-                oldest = self.ages[base + w];
-                victim = w;
+            None => {
+                self.misses += 1;
+                self.assoc - 1
             }
-        }
-        self.tags[base + victim] = sector;
-        self.ages[base + victim] = self.tick;
-        false
+        };
+        ways.copy_within(..shifted, 1);
+        ways[0] = sector;
+        hit.is_some()
     }
 
     /// Hits so far.

@@ -22,14 +22,37 @@ pub fn sector_of(addr: u64) -> u64 {
 /// sectors is the transaction count for this warp instruction.
 pub fn coalesce(addrs: &[u64], bytes_per_lane: u64, out: &mut Vec<u64>) {
     out.clear();
+    append_coalesced(addrs, bytes_per_lane, |s| s, out);
+}
+
+/// Append the sectors of one warp access to `out` as `encode(sector)`, in
+/// first-touch order, deduplicated among the entries this call appends.
+/// `encode` must be strictly increasing.
+///
+/// One pass over the lanes. Most lanes either start in the sector the
+/// previous lane ended in or past every sector seen so far (unit and small
+/// strides, broadcasts), and both cases are settled without a search; only
+/// a lane that steps back below the highest sector yet touched scans this
+/// access's sectors. `encode` preserves order, so the shortcuts hold on
+/// encoded values.
+#[inline]
+pub(crate) fn append_coalesced(
+    addrs: &[u64],
+    bytes_per_lane: u64,
+    encode: impl Fn(u64) -> u64,
+    out: &mut Vec<u64>,
+) {
+    let start = out.len();
+    let mut max = 0;
     for &a in addrs {
-        let first = sector_of(a);
-        let last = sector_of(a + bytes_per_lane - 1);
-        for s in first..=last {
-            // Warp accesses touch a handful of sectors; linear dedup against
-            // the small output buffer beats a hash set here.
-            if !out.contains(&s) {
-                out.push(s);
+        for s in sector_of(a)..=sector_of(a + bytes_per_lane - 1) {
+            let e = encode(s);
+            let fresh = out.len() == start
+                || e > max
+                || (e != out[out.len() - 1] && !out[start..].contains(&e));
+            if fresh {
+                out.push(e);
+                max = max.max(e);
             }
         }
     }

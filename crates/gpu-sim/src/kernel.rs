@@ -106,14 +106,23 @@ pub trait KernelSpec: Sync {
 /// the resulting sector stream is kept (in order) for the L2 model, while
 /// shared-memory accesses are folded immediately into pass counts under the
 /// launch's bank mode.
-#[derive(Debug)]
+///
+/// A warp access can be recorded two ways. [`global_load`](Self::global_load)
+/// and [`global_store`](Self::global_store) take one address per lane and
+/// coalesce them in general. When the lanes read consecutive elements — one
+/// contiguous run, or several runs in ascending address order such as a
+/// GEMM tile warp that wraps onto the next row —
+/// [`global_load_runs`](Self::global_load_runs) and
+/// [`global_store_runs`](Self::global_store_runs) emit the sector range of
+/// each run directly. Both record exactly the same trace; debug builds
+/// check every run call against the per-lane path.
+#[derive(Debug, PartialEq)]
 pub struct BlockTrace {
     bank_mode: BankMode,
     banks: u32,
-    /// Ordered (sector, is_store) stream for the cache model.
-    pub(crate) sectors: Vec<(u64, bool)>,
-    /// Scratch for the coalescer.
-    scratch: Vec<u64>,
+    /// Ordered sector stream for the cache model, one entry per sector
+    /// transaction: `sector << 1 | is_store`.
+    pub(crate) sectors: Vec<u64>,
     /// Warp-level global memory instructions issued.
     pub(crate) mem_instrs: u64,
     /// Global sectors from loads.
@@ -136,6 +145,12 @@ pub struct BlockTrace {
     pub(crate) syncs: u64,
 }
 
+/// Pack a sector and its direction into one sector-stream entry.
+#[inline]
+fn packed(sector: u64, store: bool) -> u64 {
+    sector << 1 | store as u64
+}
+
 impl BlockTrace {
     /// New empty trace under a bank mode.
     pub fn new(bank_mode: BankMode, banks: u32) -> BlockTrace {
@@ -143,7 +158,6 @@ impl BlockTrace {
             bank_mode,
             banks,
             sectors: Vec::new(),
-            scratch: Vec::new(),
             mem_instrs: 0,
             load_sectors: 0,
             store_sectors: 0,
@@ -157,24 +171,66 @@ impl BlockTrace {
         }
     }
 
+    /// Count one warp instruction whose sectors were appended to the
+    /// stream from index `start` on.
+    fn count(&mut self, start: usize, lanes: u64, bytes_per_lane: u64, store: bool) {
+        self.mem_instrs += 1;
+        let n = (self.sectors.len() - start) as u64;
+        if store {
+            self.store_sectors += n;
+            self.requested_store_bytes += lanes * bytes_per_lane;
+        } else {
+            self.load_sectors += n;
+            self.requested_load_bytes += lanes * bytes_per_lane;
+        }
+    }
+
     fn global(&mut self, addrs: &[u64], bytes_per_lane: u64, store: bool) {
         if addrs.is_empty() {
             return;
         }
         debug_assert!(addrs.len() <= 32, "a warp access has at most 32 lanes");
-        self.mem_instrs += 1;
-        coalesce::coalesce(addrs, bytes_per_lane, &mut self.scratch);
-        let n = self.scratch.len() as u64;
-        if store {
-            self.store_sectors += n;
-            self.requested_store_bytes += addrs.len() as u64 * bytes_per_lane;
-        } else {
-            self.load_sectors += n;
-            self.requested_load_bytes += addrs.len() as u64 * bytes_per_lane;
+        let start = self.sectors.len();
+        coalesce::append_coalesced(addrs, bytes_per_lane, |s| packed(s, store), &mut self.sectors);
+        self.count(start, addrs.len() as u64, bytes_per_lane, store);
+    }
+
+    fn global_runs(&mut self, runs: &[(u64, usize)], bytes_per_lane: u64, store: bool) {
+        let lanes: usize = runs.iter().map(|&(_, n)| n).sum();
+        if lanes == 0 {
+            return;
         }
-        for &s in &self.scratch {
-            self.sectors.push((s, store));
+        debug_assert!(lanes <= 32, "a warp access has at most 32 lanes");
+        let start = self.sectors.len();
+        for &(base, n) in runs.iter().filter(|&&(_, n)| n > 0) {
+            let first = packed(coalesce::sector_of(base), store);
+            let last = packed(coalesce::sector_of(base + n as u64 * bytes_per_lane - 1), store);
+            // Runs ascend, so a run can only share its first sector with
+            // the last one the previous run touched.
+            let from = match self.sectors[start..].last() {
+                Some(&prev) => {
+                    debug_assert!(prev <= first, "runs must ascend through memory");
+                    first.max(prev + 2)
+                }
+                None => first,
+            };
+            let mut e = from;
+            while e <= last {
+                self.sectors.push(e);
+                e += 2;
+            }
         }
+        #[cfg(debug_assertions)]
+        {
+            let addrs: Vec<u64> = runs
+                .iter()
+                .flat_map(|&(base, n)| (0..n as u64).map(move |i| base + i * bytes_per_lane))
+                .collect();
+            let mut per_lane = Vec::new();
+            coalesce::append_coalesced(&addrs, bytes_per_lane, |s| packed(s, store), &mut per_lane);
+            assert_eq!(self.sectors[start..], per_lane[..], "run access differs from its lanes");
+        }
+        self.count(start, lanes as u64, bytes_per_lane, store);
     }
 
     /// One warp global load of `bytes_per_lane` bytes per lane.
@@ -185,6 +241,21 @@ impl BlockTrace {
     /// One warp global store of `bytes_per_lane` bytes per lane.
     pub fn global_store(&mut self, addrs: &[u64], bytes_per_lane: u64) {
         self.global(addrs, bytes_per_lane, true);
+    }
+
+    /// One warp global load whose lanes read consecutive elements: each
+    /// `(base, lanes)` run covers lanes reading `bytes_per_lane` bytes at
+    /// `base`, `base + bytes_per_lane`, ... in lane order, and every run
+    /// starts at or after the sector the previous run ended in. Records
+    /// the same trace as [`global_load`](Self::global_load) on those
+    /// addresses.
+    pub fn global_load_runs(&mut self, runs: &[(u64, usize)], bytes_per_lane: u64) {
+        self.global_runs(runs, bytes_per_lane, false);
+    }
+
+    /// The store counterpart of [`global_load_runs`](Self::global_load_runs).
+    pub fn global_store_runs(&mut self, runs: &[(u64, usize)], bytes_per_lane: u64) {
+        self.global_runs(runs, bytes_per_lane, true);
     }
 
     /// One warp shared-memory access (load or store — the bank model does
@@ -244,7 +315,35 @@ mod tests {
         assert_eq!(t.mem_instrs, 1);
         assert_eq!(t.requested_load_bytes, 128);
         assert_eq!(t.sectors.len(), 4);
-        assert!(t.sectors.iter().all(|&(_, st)| !st));
+        assert!(t.sectors.iter().all(|&e| e & 1 == 0), "loads carry a clear store flag");
+        t.global_store(&addrs, 4);
+        assert_eq!(t.sectors.len(), 8);
+        assert!(t.sectors[4..].iter().all(|&e| e & 1 == 1), "stores carry a set store flag");
+        let sectors: Vec<u64> = t.sectors.iter().map(|&e| e >> 1).collect();
+        assert_eq!(sectors, [0, 1, 2, 3, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn runs_record_the_per_lane_trace() {
+        // A GEMM A-tile warp: 16 floats of one row, then 16 of the next
+        // row 40 floats on, unaligned.
+        let (row0, row1) = (1000 + 8, 1000 + 8 + 40 * 4);
+        let mut per_lane = BlockTrace::new(BankMode::FourByte, 32);
+        let addrs: Vec<u64> =
+            (0..16u64).map(|i| row0 + i * 4).chain((0..16u64).map(|i| row1 + i * 4)).collect();
+        per_lane.global_load(&addrs, 4);
+        let mut runs = BlockTrace::new(BankMode::FourByte, 32);
+        runs.global_load_runs(&[(row0, 16), (row1, 16)], 4);
+        assert_eq!(runs, per_lane);
+        assert_eq!(runs.load_sectors, 6);
+        // Back-to-back rows share the sector at the seam, once.
+        let mut seam = BlockTrace::new(BankMode::FourByte, 32);
+        seam.global_store_runs(&[(0, 9), (36, 9)], 4);
+        assert_eq!(seam.sectors, [1, 3, 5]);
+        // A run of no lanes, like an empty lane list, records nothing.
+        let mut empty = BlockTrace::new(BankMode::FourByte, 32);
+        empty.global_load_runs(&[(64, 0)], 4);
+        assert_eq!(empty, BlockTrace::new(BankMode::FourByte, 32));
     }
 
     #[test]

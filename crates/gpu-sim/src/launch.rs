@@ -6,8 +6,15 @@ use crate::kernel::{BlockTrace, KernelSpec};
 use crate::model::{score, KernelTime, LaunchTotals};
 use crate::occupancy::{occupancy, Occupancy};
 use crate::SimError;
+use memcnn_trace::perf::CachedCounter;
 use rayon::prelude::*;
 use serde::Serialize;
+use std::time::Instant;
+
+/// Host nanoseconds cold simulations spent replaying block traces.
+static COLD_TRACE_NS: CachedCounter = CachedCounter::new("sim.cold.trace_ns");
+/// Host nanoseconds cold simulations spent in the L2 replay.
+static COLD_L2_NS: CachedCounter = CachedCounter::new("sim.cold.l2_ns");
 
 /// Simulation options.
 #[derive(Clone, Copy, Debug)]
@@ -260,6 +267,7 @@ fn simulate_cold(
     let occ = occupancy(device, &launch)?;
 
     let sampled = sample_blocks(launch.grid_blocks, opts.max_sampled_blocks);
+    let t_trace = Instant::now();
     let traces: Vec<BlockTrace> = sampled
         .par_iter()
         .map(|&b| {
@@ -268,6 +276,8 @@ fn simulate_cold(
             t
         })
         .collect();
+    let t_l2 = Instant::now();
+    COLD_TRACE_NS.add(t_l2.duration_since(t_trace).as_nanos() as u64);
 
     let scale = launch.grid_blocks as f64 / sampled.len().max(1) as f64;
 
@@ -299,7 +309,9 @@ fn simulate_cold(
     // in small chunks to approximate concurrent execution. When fewer
     // blocks are sampled than would be concurrent, the cache is shrunk
     // proportionally (sampled share of the real cache).
-    let (mut miss_load, mut miss_store) = (0f64, 0f64);
+    // Only load misses matter: every store transaction reaches DRAM (see
+    // below), hit or miss.
+    let mut miss_load = 0u64;
     let mut l2_hit_rate = 0.0;
     if opts.l2_enabled && !traces.is_empty() {
         let wave = (occ.concurrent_blocks as usize).max(1);
@@ -319,13 +331,10 @@ fn simulate_cold(
                         continue;
                     }
                     let end = (*cur + CHUNK).min(t.sectors.len());
-                    for &(sector, is_store) in &t.sectors[*cur..end] {
-                        if !cache.access(sector) {
-                            if is_store {
-                                miss_store += 1.0;
-                            } else {
-                                miss_load += 1.0;
-                            }
+                    for &entry in &t.sectors[*cur..end] {
+                        // Entries are `sector << 1 | is_store`.
+                        if !cache.access(entry >> 1) && entry & 1 == 0 {
+                            miss_load += 1;
                         }
                     }
                     *cur = end;
@@ -337,17 +346,16 @@ fn simulate_cold(
         }
         l2_hit_rate = cache.hit_rate();
     } else {
-        miss_load = traces.iter().map(|t| t.load_sectors as f64).sum();
-        miss_store = traces.iter().map(|t| t.store_sectors as f64).sum();
+        miss_load = traces.iter().map(|t| t.load_sectors).sum();
     }
+    COLD_L2_NS.add(t_l2.elapsed().as_nanos() as u64);
 
     let sector = DeviceConfig::SECTOR_BYTES as f64;
     // Loads: scale misses to the grid; floor by compulsory traffic, cap by
     // raw transactions.
-    totals.dram_load_bytes = (miss_load * sector * scale)
+    totals.dram_load_bytes = (miss_load as f64 * sector * scale)
         .max(work.min_dram_load_bytes)
         .min(totals.load_sectors * sector);
-    let _ = miss_store;
     // Stores: every store transaction reaches DRAM. GDDR5 writes partial
     // sectors with byte-enables but still occupy a full burst, so the L2
     // gives scattered stores no write-combining credit — the mechanism

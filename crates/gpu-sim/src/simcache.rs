@@ -245,8 +245,8 @@ pub fn len() -> usize {
     store().shards.iter().map(|s| s.read().expect("sim cache poisoned").len()).sum()
 }
 
-/// Drop every entry (the perf counters are left untouched; reset those via
-/// [`memcnn_trace::perf::reset`]).
+/// Drop every entry (the perf counters are left untouched; measure a run
+/// as [`memcnn_trace::perf::baseline`] deltas).
 pub fn clear() {
     for s in &store().shards {
         s.write().expect("sim cache poisoned").clear();

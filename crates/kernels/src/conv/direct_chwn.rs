@@ -133,7 +133,6 @@ impl KernelSpec for DirectConvChwn {
         let n_here = (32 * self.ipt).min(s.n - n0);
         let filters_here = filters_per_block(s.co).min(s.co - co0);
 
-        let mut addrs = Vec::with_capacity(32);
         let iters = s.ci * s.fh * s.fw;
         for ci in 0..s.ci {
             for fy in 0..s.fh {
@@ -142,25 +141,16 @@ impl KernelSpec for DirectConvChwn {
                     let ix = (ox * s.stride + fx) as isize - s.pad as isize;
                     // Filter tile load: [Ci][Fh][Fw][Co] layout, 16
                     // consecutive Co values — coalesced.
-                    addrs.clear();
                     let frow = ((ci * s.fh + fy) * s.fw + fx) * s.co + co0;
-                    for f in 0..filters_here {
-                        addrs.push(self.filter.f32((frow + f) as u64));
-                    }
-                    t.global_load(&addrs, 4);
+                    let fbase = self.filter.f32_run(frow as u64, filters_here as u64);
+                    t.global_load_runs(&[(fbase, filters_here)], 4);
                     // Image loads: CHWN layout, lanes along N — coalesced.
                     if iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w {
                         let irow = ((ci * s.h + iy as usize) * s.w + ix as usize) * s.n + n0;
-                        for i in 0..self.ipt {
-                            addrs.clear();
-                            let lane0 = i * 32;
-                            if lane0 >= n_here {
-                                break;
-                            }
-                            for lane in 0..32.min(n_here - lane0) {
-                                addrs.push(self.input.f32((irow + lane0 + lane) as u64));
-                            }
-                            t.global_load(&addrs, 4);
+                        for lane0 in (0..n_here).step_by(32) {
+                            let lanes = 32.min(n_here - lane0);
+                            let base = self.input.f32_run((irow + lane0) as u64, lanes as u64);
+                            t.global_load_runs(&[(base, lanes)], 4);
                         }
                     }
                 }
@@ -183,16 +173,10 @@ impl KernelSpec for DirectConvChwn {
         // Output stores: [Co][OH][OW][N], coalesced along N.
         for f in 0..filters_here {
             let orow = ((co0 + f) * oh * ow + module) * s.n + n0;
-            for i in 0..self.ipt {
-                addrs.clear();
-                let lane0 = i * 32;
-                if lane0 >= n_here {
-                    break;
-                }
-                for lane in 0..32.min(n_here - lane0) {
-                    addrs.push(self.output.f32((orow + lane0 + lane) as u64));
-                }
-                t.global_store(&addrs, 4);
+            for lane0 in (0..n_here).step_by(32) {
+                let lanes = 32.min(n_here - lane0);
+                let base = self.output.f32_run((orow + lane0) as u64, lanes as u64);
+                t.global_store_runs(&[(base, lanes)], 4);
             }
         }
         t.sync();

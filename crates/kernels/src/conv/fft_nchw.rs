@@ -359,22 +359,16 @@ impl KernelSpec for FftPointwiseKernel {
         let in_frames = (s.n * self.tiles * s.ci) as u64;
         let filt_frames = (s.co * s.ci) as u64;
         let out_frames = (s.n * self.tiles * s.co) as u64;
-        let mut addrs = Vec::with_capacity(32);
+        let (n_lanes, co_lanes) = (n_here as u64, co_here as u64);
         for ci in 0..s.ci {
             // Load A column: in_freq[bin][ci][n] — consecutive n.
-            addrs.clear();
-            for i in 0..n_here.min(32) {
-                let frame_idx = (ci * s.n * self.tiles + n0 + i) as u64;
-                addrs.push(self.in_freq.addr(bin * in_frames + frame_idx, 8));
-            }
-            t.global_load(&addrs, 8);
+            let frame_idx = (ci * s.n * self.tiles + n0) as u64;
+            let a = self.in_freq.run(bin * in_frames + frame_idx, n_lanes, 8);
+            t.global_load_runs(&[(a, n_here)], 8);
             // Load B row: filt_freq[bin][ci][co] — consecutive co.
-            addrs.clear();
-            for j in 0..co_here.min(32) {
-                let frame_idx = (ci * s.co + co0 + j) as u64;
-                addrs.push(self.filt_freq.addr(bin * filt_frames + frame_idx, 8));
-            }
-            t.global_load(&addrs, 8);
+            let frame_idx = (ci * s.co + co0) as u64;
+            let b = self.filt_freq.run(bin * filt_frames + frame_idx, co_lanes, 8);
+            t.global_load_runs(&[(b, co_here)], 8);
             // Complex FMA tile: 8 real FLOPs per complex MAC.
             t.flops((8 * n_here * co_here) as u64);
         }
@@ -383,12 +377,9 @@ impl KernelSpec for FftPointwiseKernel {
         t.aux(s.ci as u64 * 2);
         // Store C tile, bin-major.
         for i in 0..n_here {
-            addrs.clear();
-            for j in 0..co_here.min(32) {
-                let frame_idx = ((n0 + i) * s.co + co0 + j) as u64;
-                addrs.push(self.out_freq.addr(bin * out_frames + frame_idx, 8));
-            }
-            t.global_store(&addrs, 8);
+            let frame_idx = ((n0 + i) * s.co + co0) as u64;
+            let c = self.out_freq.run(bin * out_frames + frame_idx, co_lanes, 8);
+            t.global_store_runs(&[(c, co_here)], 8);
         }
     }
 }

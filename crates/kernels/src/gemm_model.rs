@@ -139,8 +139,7 @@ impl KernelSpec for GemmKernel {
     }
 
     fn trace_block(&self, block: u64, t: &mut BlockTrace) {
-        let (gm, gn) = self.grid_dims();
-        let _ = gm;
+        let (_, gn) = self.grid_dims();
         let bm = (block as usize / gn) * self.cfg.tm;
         let bn = (block as usize % gn) * self.cfg.tn;
         let threads = self.cfg.threads();
@@ -149,60 +148,78 @@ impl KernelSpec for GemmKernel {
         let tn_eff = self.cfg.tn.min(self.n - bn);
 
         let steps = self.k.div_ceil(self.cfg.tk);
-        let mut addrs = Vec::with_capacity(32);
+        // Shared-memory accesses all share one conflict-free pattern
+        // (consecutive lanes, consecutive words), so their repeat counts
+        // are summed over the k-steps and recorded once.
+        let mut smem_repeats = 0u64;
         for s in 0..steps {
             let k0 = s * self.cfg.tk;
             let k_eff = self.cfg.tk.min(self.k - k0);
             // Stage A tile (tm_eff x k_eff): warps cooperatively load rows;
             // consecutive lanes walk K (row-major A) — coalesced up to
             // k_eff, then the next row.
-            let a_elems = tm_eff * k_eff;
-            for chunk_start in (0..a_elems).step_by(32) {
-                addrs.clear();
-                for lane in 0..32.min(a_elems - chunk_start) {
-                    let e = chunk_start + lane;
-                    let (r, kk) = (e / k_eff, e % k_eff);
-                    addrs.push(self.a.f32(((bm + r) * self.k + k0 + kk) as u64));
-                }
-                t.global_load(&addrs, 4);
-            }
+            tile_warps(self.a, bm * self.k + k0, self.k, tm_eff, k_eff, |runs| {
+                t.global_load_runs(runs, 4)
+            });
             // Stage B tile (k_eff x tn_eff): consecutive lanes walk N —
             // coalesced.
-            let b_elems = k_eff * tn_eff;
-            for chunk_start in (0..b_elems).step_by(32) {
-                addrs.clear();
-                for lane in 0..32.min(b_elems - chunk_start) {
-                    let e = chunk_start + lane;
-                    let (kk, c) = (e / tn_eff, e % tn_eff);
-                    addrs.push(self.b.f32(((k0 + kk) * self.n + bn + c) as u64));
-                }
-                t.global_load(&addrs, 4);
-            }
-            // Shared-memory staging stores (conflict-free by construction:
-            // consecutive lanes, consecutive words).
-            let stage_addrs: Vec<u64> = (0..32u64).map(|l| l * 4).collect();
-            t.shared_repeat(&stage_addrs, 4, ((a_elems + b_elems) / 32).max(1) as u64);
+            tile_warps(self.b, k0 * self.n + bn, self.n, k_eff, tn_eff, |runs| {
+                t.global_load_runs(runs, 4)
+            });
+            // Shared-memory staging stores (conflict-free by construction).
+            smem_repeats += ((tm_eff * k_eff + k_eff * tn_eff) / 32).max(1) as u64;
             t.sync();
             // Register-tile compute: per k-iteration each thread reads RT
             // A values (column broadcast within a thread row — conflict
             // free with padding) and RT B values, then does RT x RT FMAs.
-            let smem_reads_per_warp = k_eff as u64 * 2 * self.cfg.rt as u64;
-            t.shared_repeat(&stage_addrs, 4, smem_reads_per_warp * warps as u64);
+            smem_repeats += k_eff as u64 * 2 * self.cfg.rt as u64 * warps as u64;
             t.flops(2 * (tm_eff * tn_eff * k_eff) as u64);
             t.aux(warps as u64 * 4);
             t.sync();
         }
+        let stage_addrs: Vec<u64> = (0..32u64).map(|l| l * 4).collect();
+        t.shared_repeat(&stage_addrs, 4, smem_repeats);
         // Write C tile: consecutive lanes along N — coalesced.
-        let c_elems = tm_eff * tn_eff;
-        for chunk_start in (0..c_elems).step_by(32) {
-            addrs.clear();
-            for lane in 0..32.min(c_elems - chunk_start) {
-                let e = chunk_start + lane;
-                let (r, c) = (e / tn_eff, e % tn_eff);
-                addrs.push(self.c.f32(((bm + r) * self.n + bn + c) as u64));
+        tile_warps(self.c, bm * self.n + bn, self.n, tm_eff, tn_eff, |runs| {
+            t.global_store_runs(runs, 4)
+        });
+    }
+}
+
+/// Walk a row-major `rows x width` tile of `f32`s in `buf`, whose first
+/// element is `origin` and whose rows lie `pitch` elements apart, as warps
+/// of 32 consecutive tile elements (the last warp may be partial). Each
+/// warp reaches `f` as its ascending runs, one per tile row it touches,
+/// ready for [`BlockTrace::global_load_runs`]. Needs `pitch >= width`.
+pub(crate) fn tile_warps(
+    buf: DeviceBuffer,
+    origin: usize,
+    pitch: usize,
+    rows: usize,
+    width: usize,
+    mut f: impl FnMut(&[(u64, usize)]),
+) {
+    debug_assert!(pitch >= width, "tile rows overlap");
+    let mut runs = [(0u64, 0usize); 32];
+    // Running position of the next warp's first lane.
+    let (mut r, mut c) = (0, 0);
+    let mut left = rows * width;
+    while left > 0 {
+        let mut lanes = 32.min(left);
+        left -= lanes;
+        let mut n = 0;
+        while lanes > 0 {
+            let take = lanes.min(width - c);
+            let start = origin + r * pitch + c;
+            runs[n] = (buf.f32_run(start as u64, take as u64), take);
+            n += 1;
+            lanes -= take;
+            c += take;
+            if c == width {
+                (r, c) = (r + 1, 0);
             }
-            t.global_store(&addrs, 4);
         }
+        f(&runs[..n]);
     }
 }
 

@@ -153,33 +153,31 @@ impl KernelSpec for Im2colKernel {
         let total = Self::col_elems(s) as u64;
         let base = block * 256;
         let mut loads = Vec::with_capacity(32);
-        let mut stores = Vec::with_capacity(32);
         for w in 0..8u64 {
-            loads.clear();
-            stores.clear();
-            for lane in 0..32u64 {
-                let idx = base + w * 32 + lane;
-                if idx >= total {
-                    break;
+            let warp_base = base + w * 32;
+            if warp_base < total {
+                let lanes = 32.min(total - warp_base);
+                loads.clear();
+                for idx in warp_base..warp_base + lanes {
+                    let row = (idx / m as u64) as usize;
+                    let mm = (idx % m as u64) as usize;
+                    let ci = row / (s.fh * s.fw);
+                    let fy = (row / s.fw) % s.fh;
+                    let fx = row % s.fw;
+                    let n = mm / (oh * ow);
+                    let oy = (mm / ow) % oh;
+                    let ox = mm % ow;
+                    let iy = (oy * s.stride + fy) as isize - s.pad as isize;
+                    let ix = (ox * s.stride + fx) as isize - s.pad as isize;
+                    if iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w {
+                        let e = ((n * s.ci + ci) * s.h + iy as usize) * s.w + ix as usize;
+                        loads.push(self.input.f32(e as u64));
+                    }
                 }
-                let row = (idx / m as u64) as usize;
-                let mm = (idx % m as u64) as usize;
-                let ci = row / (s.fh * s.fw);
-                let fy = (row / s.fw) % s.fh;
-                let fx = row % s.fw;
-                let n = mm / (oh * ow);
-                let oy = (mm / ow) % oh;
-                let ox = mm % ow;
-                let iy = (oy * s.stride + fy) as isize - s.pad as isize;
-                let ix = (ox * s.stride + fx) as isize - s.pad as isize;
-                if iy >= 0 && ix >= 0 && (iy as usize) < s.h && (ix as usize) < s.w {
-                    let e = ((n * s.ci + ci) * s.h + iy as usize) * s.w + ix as usize;
-                    loads.push(self.input.f32(e as u64));
-                }
-                stores.push(self.col.f32(idx));
+                t.global_load(&loads, 4);
+                // The unrolled matrix is written in flat order: coalesced.
+                t.global_store_runs(&[(self.col.f32_run(warp_base, lanes), lanes as usize)], 4);
             }
-            t.global_load(&loads, 4);
-            t.global_store(&stores, 4);
             t.aux(6);
         }
     }

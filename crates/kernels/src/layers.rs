@@ -153,24 +153,15 @@ impl KernelSpec for ElementwiseKernel {
 
     fn trace_block(&self, block: u64, t: &mut BlockTrace) {
         // Each block processes 1024 elements: 256 threads x 4 grid-stride.
-        let mut addrs = Vec::with_capacity(32);
         for i in 0..32u64 {
             let base = block * 1024 + i * 32;
             if base >= self.elems {
                 break;
             }
-            let lanes = 32.min(self.elems - base) as usize;
-            addrs.clear();
-            for lane in 0..lanes as u64 {
-                addrs.push(self.input.f32(base + lane));
-            }
-            t.global_load(&addrs, 4);
-            addrs.clear();
-            for lane in 0..lanes as u64 {
-                addrs.push(self.output.f32(base + lane));
-            }
-            t.global_store(&addrs, 4);
-            t.flops(self.flops_per_elem * lanes as u64);
+            let lanes = 32.min(self.elems - base);
+            t.global_load_runs(&[(self.input.f32_run(base, lanes), lanes as usize)], 4);
+            t.global_store_runs(&[(self.output.f32_run(base, lanes), lanes as usize)], 4);
+            t.flops(self.flops_per_elem * lanes);
         }
         t.aux(8);
     }
@@ -266,11 +257,7 @@ impl KernelSpec for LrnKernel {
                 }
                 t.global_load(&addrs, 4);
             }
-            addrs.clear();
-            for lane in 0..lanes as u64 {
-                addrs.push(self.output.f32(base + lane));
-            }
-            t.global_store(&addrs, 4);
+            t.global_store_runs(&[(self.output.f32_run(base, lanes as u64), lanes)], 4);
             t.flops((3 * self.size + 10) * lanes as u64);
             t.aux(self.size + 4);
         }

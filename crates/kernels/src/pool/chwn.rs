@@ -107,7 +107,6 @@ impl KernelSpec for PoolChwn {
         let tiles_x = ow.div_ceil(self.ux);
         let tiles_y = oh.div_ceil(self.uy);
         let tiles = self.tiles();
-        let mut addrs = Vec::with_capacity(32);
         for w in 0..WARPS as u64 {
             let unit = block * WARPS as u64 + w;
             if unit >= (tiles * self.img_groups()) as u64 {
@@ -130,12 +129,9 @@ impl KernelSpec for PoolChwn {
             let x_hi = (x_lo + self.union_w()).min(s.w);
             for iy in y_lo..y_hi {
                 for ix in x_lo..x_hi {
-                    addrs.clear();
                     let row = ((c * s.h + iy) * s.w + ix) * s.n + n0;
-                    for lane in 0..lanes {
-                        addrs.push(self.input.f32((row + lane) as u64));
-                    }
-                    t.global_load(&addrs, 4);
+                    let base = self.input.f32_run(row as u64, lanes as u64);
+                    t.global_load_runs(&[(base, lanes)], 4);
                 }
             }
             // Compute: every output consumes window^2 compares/adds.
@@ -146,12 +142,9 @@ impl KernelSpec for PoolChwn {
             // Store the tile's outputs, coalesced along N.
             for oy in oy0..oy0 + outs_y {
                 for ox in ox0..ox0 + outs_x {
-                    addrs.clear();
                     let row = ((c * oh + oy) * ow + ox) * s.n + n0;
-                    for lane in 0..lanes {
-                        addrs.push(self.output.f32((row + lane) as u64));
-                    }
-                    t.global_store(&addrs, 4);
+                    let base = self.output.f32_run(row as u64, lanes as u64);
+                    t.global_store_runs(&[(base, lanes)], 4);
                 }
             }
         }

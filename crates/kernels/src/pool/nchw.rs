@@ -69,28 +69,35 @@ impl KernelSpec for PoolNchwCaffe {
             if warp_base >= total {
                 break;
             }
+            // Each lane's output `(plane, oy, ox)` as running counters
+            // from the warp's first output, kept as the input row of its
+            // plane and the top-left tap of its window.
+            let lanes = 32.min(total - warp_base) as usize;
+            let mut taps = [(0usize, 0usize, 0usize); 32];
+            let first = warp_base as usize;
+            let (mut plane, mut oy, mut ox) = (first / (oh * ow), (first / ow) % oh, first % ow);
+            for tap in &mut taps[..lanes] {
+                *tap = (plane * s.h, oy * s.stride, ox * s.stride);
+                ox += 1;
+                if ox == ow {
+                    (oy, ox) = (oy + 1, 0);
+                    if oy == oh {
+                        (plane, oy) = (plane + 1, 0);
+                    }
+                }
+            }
             // Window loads: one warp access per (ky, kx), lanes at their
             // own output's tap — strided by `stride`, and discontinuous
             // where lanes cross output rows.
             for ky in 0..s.window {
                 for kx in 0..s.window {
                     addrs.clear();
-                    for lane in 0..32u64 {
-                        let idx = warp_base + lane;
-                        if idx >= total {
-                            break;
-                        }
-                        let ox = (idx as usize) % ow;
-                        let oy = (idx as usize / ow) % oh;
-                        let c = (idx as usize / (ow * oh)) % s.c;
-                        let n = idx as usize / (ow * oh * s.c);
-                        let iy = oy * s.stride + ky;
-                        let ix = ox * s.stride + kx;
+                    for &(row0, y0, x0) in &taps[..lanes] {
+                        let (iy, ix) = (y0 + ky, x0 + kx);
                         if iy >= s.h || ix >= s.w {
                             continue; // ceil-mode edge clamp
                         }
-                        let e = ((n * s.c + c) * s.h + iy) * s.w + ix;
-                        addrs.push(self.input.f32(e as u64));
+                        addrs.push(self.input.f32(((row0 + iy) * s.w + ix) as u64));
                     }
                     t.global_load(&addrs, 4);
                 }
@@ -98,15 +105,7 @@ impl KernelSpec for PoolNchwCaffe {
             t.flops(32 * (s.window * s.window) as u64);
             t.aux(s.window as u64 * 2 + 4);
             // Store: flat output index — coalesced.
-            addrs.clear();
-            for lane in 0..32u64 {
-                let idx = warp_base + lane;
-                if idx >= total {
-                    break;
-                }
-                addrs.push(self.output.f32(idx));
-            }
-            t.global_store(&addrs, 4);
+            t.global_store_runs(&[(self.output.f32_run(warp_base, lanes as u64), lanes)], 4);
         }
     }
 }
@@ -205,12 +204,8 @@ impl KernelSpec for PoolNchwCudnn {
             }
             t.flops((lanes * s.window * s.window) as u64);
             t.aux(s.window as u64 * 2 + 6);
-            addrs.clear();
-            for lane in 0..lanes {
-                let e = ((n * s.c + c) * oh + oy) * ow + ox0 + lane;
-                addrs.push(self.output.f32(e as u64));
-            }
-            t.global_store(&addrs, 4);
+            let row = ((n * s.c + c) * oh + oy) * ow + ox0;
+            t.global_store_runs(&[(self.output.f32_run(row as u64, lanes as u64), lanes)], 4);
         }
     }
 }

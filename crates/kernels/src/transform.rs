@@ -100,11 +100,8 @@ impl TransformKernel {
                 break;
             }
             let lanes = 32.min(self.cols - base);
-            addrs.clear();
-            for lane in 0..lanes {
-                addrs.push(self.src.f32((row * self.cols + base + lane) as u64));
-            }
-            t.global_load(&addrs, 4);
+            let src = (row * self.cols + base) as u64;
+            t.global_load_runs(&[(self.src.f32_run(src, lanes as u64), lanes)], 4);
             // dst[col][row]: stride = rows elements — uncoalesced.
             addrs.clear();
             for lane in 0..lanes {
@@ -125,29 +122,25 @@ impl TransformKernel {
         let tc = (block as usize % grid_c) * 32;
         let rows_here = 32.min(self.rows - tr);
         let cols_here = 32.min(self.cols - tc);
-        let mut addrs = Vec::with_capacity(32);
+        let mut sh = Vec::with_capacity(32);
         // Load 32 source rows (coalesced along cols), store into the padded
         // 33-wide shared tile.
         for r in 0..rows_here {
-            addrs.clear();
-            for lane in 0..cols_here {
-                addrs.push(self.src.f32(((tr + r) * self.cols + tc + lane) as u64));
-            }
-            t.global_load(&addrs, 4);
-            let sh: Vec<u64> = (0..cols_here as u64).map(|l| (r as u64 * 33 + l) * 4).collect();
+            let src = ((tr + r) * self.cols + tc) as u64;
+            t.global_load_runs(&[(self.src.f32_run(src, cols_here as u64), cols_here)], 4);
+            sh.clear();
+            sh.extend((0..cols_here as u64).map(|l| (r as u64 * 33 + l) * 4));
             t.shared(&sh, 4);
         }
         t.sync();
         // Read the tile transposed (padding keeps it conflict-free) and
         // write destination rows coalesced.
         for c in 0..cols_here {
-            let sh: Vec<u64> = (0..rows_here as u64).map(|l| (l * 33 + c as u64) * 4).collect();
+            sh.clear();
+            sh.extend((0..rows_here as u64).map(|l| (l * 33 + c as u64) * 4));
             t.shared(&sh, 4);
-            addrs.clear();
-            for lane in 0..rows_here {
-                addrs.push(self.dst.f32(((tc + c) * self.rows + tr + lane) as u64));
-            }
-            t.global_store(&addrs, 4);
+            let dst = ((tc + c) * self.rows + tr) as u64;
+            t.global_store_runs(&[(self.dst.f32_run(dst, rows_here as u64), rows_here)], 4);
         }
         t.aux(16);
         t.sync();
@@ -163,55 +156,51 @@ impl TransformKernel {
         let tc = (block as usize % grid_c) * tile_c;
         let rows_here = tile_r.min(self.rows - tr);
         let cols_here = tile_c.min(self.cols - tc);
-        let mut addrs = Vec::with_capacity(32);
+        let mut sh = Vec::with_capacity(32);
         if self.n_is_src_inner {
             // CHWN -> NCHW: float2 loads along N (64 floats per warp).
+            let lanes = cols_here.div_ceil(2).min(32);
             for r in 0..rows_here {
-                addrs.clear();
-                for lane in 0..cols_here.div_ceil(2).min(32) {
-                    addrs.push(self.src.f32(((tr + r) * self.cols + tc + lane * 2) as u64));
-                }
-                t.global_load(&addrs, 8);
-                let sh: Vec<u64> =
-                    (0..addrs.len() as u64).map(|l| (r as u64 * 33 + l) * 8).collect();
+                // An odd tail's last float2 lane overhangs the row by one
+                // float, so the check stops at that lane's first float.
+                let src = ((tr + r) * self.cols + tc) as u64;
+                t.global_load_runs(&[(self.src.f32_run(src, 2 * lanes as u64 - 1), lanes)], 8);
+                sh.clear();
+                sh.extend((0..lanes as u64).map(|l| (r as u64 * 33 + l) * 8));
                 t.shared(&sh, 8);
             }
             t.sync();
             // Scatter: each float2 column writes two consecutive
             // destination rows as coalesced float stores (Fig 7b, 16-24).
             for c in 0..cols_here {
-                let sh: Vec<u64> = (0..rows_here as u64)
-                    .map(|l| (l * 33 + c as u64 / 2) * 8 + (c as u64 % 2) * 4)
-                    .collect();
+                sh.clear();
+                sh.extend(
+                    (0..rows_here as u64).map(|l| (l * 33 + c as u64 / 2) * 8 + (c as u64 % 2) * 4),
+                );
                 t.shared(&sh, 8);
-                addrs.clear();
-                for lane in 0..rows_here {
-                    addrs.push(self.dst.f32(((tc + c) * self.rows + tr + lane) as u64));
-                }
-                t.global_store(&addrs, 4);
+                let dst = ((tc + c) * self.rows + tr) as u64;
+                t.global_store_runs(&[(self.dst.f32_run(dst, rows_here as u64), rows_here)], 4);
             }
         } else {
             // NCHW -> CHWN: float loads along CHW, float2 stores along N.
+            let lanes = cols_here.min(32);
             for r in 0..rows_here {
-                addrs.clear();
-                for lane in 0..cols_here.min(32) {
-                    addrs.push(self.src.f32(((tr + r) * self.cols + tc + lane) as u64));
-                }
-                t.global_load(&addrs, 4);
-                let sh: Vec<u64> =
-                    (0..addrs.len() as u64).map(|l| (r as u64 * 33 + l) * 4).collect();
+                let src = ((tr + r) * self.cols + tc) as u64;
+                t.global_load_runs(&[(self.src.f32_run(src, lanes as u64), lanes)], 4);
+                sh.clear();
+                sh.extend((0..lanes as u64).map(|l| (r as u64 * 33 + l) * 4));
                 t.shared(&sh, 4);
             }
             t.sync();
+            let lanes = rows_here.div_ceil(2).min(32);
             for c in 0..cols_here {
-                let sh: Vec<u64> =
-                    (0..rows_here.div_ceil(2) as u64).map(|l| (l * 33 + c as u64) * 8).collect();
+                sh.clear();
+                sh.extend((0..rows_here.div_ceil(2) as u64).map(|l| (l * 33 + c as u64) * 8));
                 t.shared(&sh, 8);
-                addrs.clear();
-                for lane in 0..rows_here.div_ceil(2).min(32) {
-                    addrs.push(self.dst.f32(((tc + c) * self.rows + tr + lane * 2) as u64));
-                }
-                t.global_store(&addrs, 8);
+                // As for the float2 loads above, the check stops at the
+                // last lane's first float.
+                let dst = ((tc + c) * self.rows + tr) as u64;
+                t.global_store_runs(&[(self.dst.f32_run(dst, 2 * lanes as u64 - 1), lanes)], 8);
             }
         }
         t.aux(16);

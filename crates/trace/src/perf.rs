@@ -77,8 +77,6 @@ pub fn snapshot() -> BTreeMap<String, u64> {
 /// and per-batch counters) instead declare one of these as a `static`
 /// and pay the lock exactly once per process — every later bump is a
 /// single relaxed atomic add on the cached [`Counter`] `Arc`.
-/// [`reset`] keeps handles valid (it zeroes the shared cells in place),
-/// so benches that reset between runs see cached increments too.
 ///
 /// ```
 /// use memcnn_trace::perf;
@@ -143,9 +141,7 @@ pub fn baseline() -> Baseline {
 }
 
 impl Baseline {
-    /// Growth of one counter since the baseline (0 if it never moved;
-    /// saturating, so a [`reset`] between baseline and query reads as 0
-    /// rather than wrapping).
+    /// Growth of one counter since the baseline (0 if it never moved).
     pub fn delta_of(&self, name: &'static str) -> u64 {
         get(name).saturating_sub(self.at.get(name).copied().unwrap_or(0))
     }
@@ -165,14 +161,6 @@ impl Baseline {
     }
 }
 
-/// Reset every registered counter to zero. Handles held by hot paths stay
-/// valid (the `Arc`s are reused, not replaced).
-pub fn reset() {
-    for c in registry().read().expect("perf registry poisoned").values() {
-        c.store(0, Ordering::Relaxed);
-    }
-}
-
 /// Render the non-zero counters as a text block (used by the profile
 /// exporter); empty string when nothing has been counted.
 pub fn render() -> String {
@@ -189,39 +177,34 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_register_accumulate_and_reset() {
-        // One test exercises the whole lifecycle: the registry is global,
-        // so parallel tests sharing names would race on asserts.
+    fn counters_register_and_accumulate() {
+        // Each test owns its counter names: the registry is global, and
+        // tests run in parallel.
+        let base = baseline();
         let c = counter("test.perf.lifecycle");
-        assert_eq!(c.load(Ordering::Relaxed), 0);
         incr("test.perf.lifecycle");
         add("test.perf.lifecycle", 41);
-        assert_eq!(get("test.perf.lifecycle"), 42);
+        assert_eq!(base.delta_of("test.perf.lifecycle"), 42);
         // The handle observes the same cell the free functions use.
-        assert_eq!(c.load(Ordering::Relaxed), 42);
-        assert_eq!(snapshot().get("test.perf.lifecycle"), Some(&42));
-        assert!(render().contains("test.perf.lifecycle"));
-
-        reset();
-        assert_eq!(get("test.perf.lifecycle"), 0);
-        // Held handles survive a reset.
         c.fetch_add(7, Ordering::Relaxed);
-        assert_eq!(get("test.perf.lifecycle"), 7);
+        assert_eq!(base.delta_of("test.perf.lifecycle"), 49);
+        assert_eq!(get("test.perf.lifecycle"), c.load(Ordering::Relaxed));
+        assert_eq!(snapshot().get("test.perf.lifecycle"), Some(&get("test.perf.lifecycle")));
+        assert!(render().contains("test.perf.lifecycle"));
     }
 
     #[test]
-    fn cached_counter_tracks_the_registry_cell_across_resets() {
+    fn cached_counter_tracks_the_registry_cell() {
         static CACHED: CachedCounter = CachedCounter::new("test.perf.cached");
+        let base = baseline();
         CACHED.incr();
         CACHED.add(4);
-        assert_eq!(get("test.perf.cached"), 5);
-        assert_eq!(CACHED.get(), 5);
+        assert_eq!(base.delta_of("test.perf.cached"), 5);
+        assert_eq!(CACHED.get(), get("test.perf.cached"));
         // The free functions and the cached handle share one cell.
         add("test.perf.cached", 1);
-        assert_eq!(CACHED.get(), 6);
-        reset();
-        CACHED.incr();
-        assert_eq!(get("test.perf.cached"), 1, "cached handles survive reset()");
+        assert_eq!(base.delta_of("test.perf.cached"), 6);
+        assert_eq!(CACHED.get(), get("test.perf.cached"));
     }
 
     #[test]
@@ -242,6 +225,7 @@ mod tests {
 
     #[test]
     fn concurrent_increments_are_not_lost() {
+        let base = baseline();
         let threads = 8;
         let per_thread = 1000u64;
         std::thread::scope(|s| {
@@ -253,6 +237,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(get("test.perf.concurrent"), threads * per_thread);
+        assert_eq!(base.delta_of("test.perf.concurrent"), threads * per_thread);
     }
 }
