@@ -29,20 +29,20 @@
 //! `wallclock_ms` plus a report digest; the digests must match across
 //! thread counts (bit-determinism gate, always enforced), and on hosts
 //! with ≥ 4 cores THREADS=4 must be ≥ 2x faster than THREADS=1 at K=8
-//! (the parallel-stepping scaling gate; skipped with a note on smaller
-//! hosts, where the speedup physically cannot exist).
+//! (the thread scaling gate, which the batched cold compile has to earn;
+//! skipped with a note on smaller hosts, where the speedup physically
+//! cannot exist).
 //!
 //! An orchestrator-throughput stream mode follows: a ~1,000,000-request
 //! Poisson stream of a deliberately tiny network on a K=64 fleet, where
 //! wallclock is dominated by routing/arbitration rather than plan
 //! simulation. It reports orchestrator events/sec (routes + commits per
-//! second of wallclock) in `BENCH_fleet.json`, checks the run's digest
-//! against the retained sequential oracle (`MEMCNN_FLEET_SEQUENTIAL=1`),
-//! and at K=16 compares the tournament route index against the retained
-//! pre-index linear scan (`MEMCNN_FLEET_LINEAR=1`) — the indexed router
-//! must clear 2x the linear baseline's events/sec. Both stream gates are
-//! fatal and run on any host (the comparison is thread-count-matched, so
-//! core count cannot excuse a miss).
+//! second of wallclock) in `BENCH_fleet.json`, and at K=16 compares the
+//! tournament route index against the retained pre-index linear scan
+//! (`MEMCNN_FLEET_LINEAR=1`) — the two digests must match, and the
+//! indexed router must clear 2x the linear baseline's events/sec. Both
+//! stream gates are fatal and run on any host (the comparison is
+//! thread-count-matched, so core count cannot excuse a miss).
 //!
 //! Exits non-zero if 4-device least-loaded throughput falls below 3x
 //! the single device — the scaling regression gate — or if either
@@ -131,9 +131,8 @@ struct MeasureRow {
 /// One run of the orchestrator-throughput stream mode.
 #[derive(Serialize)]
 struct StreamRow {
-    /// Router variant: "indexed" (the tournament route index),
-    /// "linear" (`MEMCNN_FLEET_LINEAR=1`, the retained pre-index scan),
-    /// or "sequential" (`MEMCNN_FLEET_SEQUENTIAL=1`, the oracle loop).
+    /// Router variant: "indexed" (the tournament route index) or
+    /// "linear" (`MEMCNN_FLEET_LINEAR=1`, the retained pre-index scan).
     mode: &'static str,
     k: usize,
     requests: usize,
@@ -155,15 +154,15 @@ struct Summary {
     /// Cold wallclock per (K, MEMCNN_THREADS) point, from `--measure`
     /// subprocesses.
     wallclock: Vec<MeasureRow>,
-    /// Orchestrator-throughput stream runs (K=64 showcase + sequential
-    /// oracle, K=16 indexed-vs-linear gate pair).
+    /// Orchestrator-throughput stream runs (K=64 showcase, K=16
+    /// indexed-vs-linear gate pair).
     stream: Vec<StreamRow>,
     /// Indexed-router events/sec over the linear-scan baseline at the
     /// gate fleet size (must be >= 2.0).
     index_speedup: f64,
     /// `fleet.*` perf-counter deltas accumulated by this process's
-    /// in-process sweep runs (barriers crossed, parallel steps taken,
-    /// plans batch-compiled).
+    /// in-process sweep runs (route→commit transitions, plans
+    /// batch-compiled, routes, commits).
     fleet_perf: BTreeMap<String, u64>,
 }
 
@@ -286,8 +285,9 @@ fn wallclock_matrix() -> (Vec<MeasureRow>, bool) {
         }
     }
 
-    // Scaling gate: parallel stepping must actually buy wallclock — but
-    // only where the host can physically run 4 workers at once.
+    // Scaling gate: the batched cold compile must actually buy
+    // wallclock — but only where the host can physically run 4 workers
+    // at once.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ms = |threads: usize, k: usize| {
         rows.iter().find(|r| r.threads == threads && r.k == k).map(|r| r.wallclock_ms)
@@ -309,7 +309,7 @@ fn wallclock_matrix() -> (Vec<MeasureRow>, bool) {
             }
         } else {
             println!(
-                "parallel scaling gate skipped: host has {cores} core(s), need >= 4 for the 2x \
+                "thread scaling gate skipped: host has {cores} core(s), need >= 4 for the 2x \
                  check (k=8: THREADS=1 {t1:.1} ms, THREADS=4 {t4:.1} ms; digests still gated)"
             );
         }
@@ -320,9 +320,8 @@ fn wallclock_matrix() -> (Vec<MeasureRow>, bool) {
 /// One timed stream run: the tiny-network Poisson stream on a K-device
 /// fleet, with orchestrator events (routes + commits) counted from the
 /// perf registry and digested for cross-mode identity checks. `env`
-/// temporarily pins a fleet-loop knob (`MEMCNN_FLEET_LINEAR` /
-/// `MEMCNN_FLEET_SEQUENTIAL` — both re-read per call, unlike
-/// `MEMCNN_THREADS`).
+/// temporarily pins a fleet-loop knob (`MEMCNN_FLEET_LINEAR`, re-read
+/// per call, unlike `MEMCNN_THREADS`).
 fn stream_run(
     ctx: &Ctx,
     net: &memcnn_core::Network,
@@ -356,9 +355,8 @@ fn stream_run(
     }
 }
 
-/// The orchestrator-throughput stream section: the K=64 showcase run
-/// with its sequential-oracle digest check, then the K=16 indexed-vs-
-/// linear throughput gate. Returns the rows, the indexed/linear
+/// The orchestrator-throughput stream section: the K=64 showcase run,
+/// then the K=16 indexed-vs-linear throughput gate. Returns the rows, the indexed/linear
 /// speedup, and whether any gate failed.
 fn stream_section(ctx: &Ctx) -> (Vec<StreamRow>, f64, bool) {
     let net = stream_net();
@@ -375,22 +373,6 @@ fn stream_section(ctx: &Ctx) -> (Vec<StreamRow>, f64, bool) {
         net.name
     );
     let k64 = stream_run(ctx, &net, policy, capacity, STREAM_K, "indexed", None);
-    let k64_seq = stream_run(
-        ctx,
-        &net,
-        policy,
-        capacity,
-        STREAM_K,
-        "sequential",
-        Some("MEMCNN_FLEET_SEQUENTIAL"),
-    );
-    if k64.digest != k64_seq.digest {
-        eprintln!(
-            "GATE FAILED: k={STREAM_K} stream: parallel digest {} != sequential oracle digest {}",
-            k64.digest, k64_seq.digest
-        );
-        failed = true;
-    }
     let gate = stream_run(ctx, &net, policy, capacity, STREAM_GATE_K, "indexed", None);
     let gate_linear = stream_run(
         ctx,
@@ -410,7 +392,7 @@ fn stream_section(ctx: &Ctx) -> (Vec<StreamRow>, f64, bool) {
     }
     let speedup = gate.events_per_sec / gate_linear.events_per_sec;
 
-    let rows = vec![k64, k64_seq, gate, gate_linear];
+    let rows = vec![k64, gate, gate_linear];
     let mut table = Table::new(
         "orchestrator stream throughput (routes + commits per second)".to_string(),
         &["mode", "devices", "requests", "events", "wallclock ms", "events/s", "digest"],
@@ -430,7 +412,7 @@ fn stream_section(ctx: &Ctx) -> (Vec<StreamRow>, f64, bool) {
 
     // The index regression gate: fatal, and deliberately thread-count-
     // matched (both runs use the same pool), so it holds on any host —
-    // including single-core CI, unlike the parallel scaling gate.
+    // including single-core CI, unlike the thread scaling gate.
     if speedup < 2.0 {
         eprintln!(
             "GATE FAILED: k={STREAM_GATE_K}: indexed router events/sec is only {speedup:.2}x the \

@@ -16,29 +16,22 @@
 //!   boundaries the fleet re-derives `max_queue_delay` from the
 //!   observed inter-arrival EMA (bounded, seeded — still bit-exact).
 //!
-//! The event loop is *logically* sequential — one global interleaving
-//! of routes and commits — but executes in parallel between routing
-//! barriers. Routing is a strict barrier: arrivals are placed one by
-//! one until the next unrouted arrival is strictly later than every
-//! tentative launch. Between barriers each device's commits touch only
-//! that device's queues, clock, and fault stream, so active devices
-//! step concurrently on the vendored rayon stand-in, each worker
-//! recording under a `trace::fork()` shard that merges in device-index
-//! order. Order-sensitive global effects (latency writes, recorder
-//! gauges, shed totals, plan-cache hit bookkeeping) are deferred as
-//! per-event [`Op`] lists and replayed at the barrier in the exact
-//! order the sequential loop would have produced them (a greedy k-way
-//! merge of per-device event queues — see `DESIGN.md` §14). Cold
-//! buckets predicted at a barrier compile in one batched fan-out
-//! ([`PlanCache::stage`]) instead of serially on first launch. The
-//! result is a pure function of `(engine configs, networks,
-//! FleetConfig)`: bit-identical across `MEMCNN_THREADS` and to the
-//! retained sequential loop (`MEMCNN_FLEET_SEQUENTIAL=1`).
+//! The event loop is one global interleaving of routes and commits:
+//! route the next arrival when it is no later than the earliest
+//! tentative launch, otherwise commit that launch. At every route→commit
+//! transition the cold buckets the coming commits are predicted to hit
+//! compile in one batched fan-out ([`PlanCache::stage`]) instead of
+//! serially on first launch, so cold starts still use every
+//! `MEMCNN_THREADS` worker. Staged plans surface only through the
+//! cache's `get`, so the result is a pure function of `(engine configs,
+//! networks, FleetConfig)`: bit-identical across `MEMCNN_THREADS` (see
+//! `DESIGN.md` §14).
 //!
 //! **Exactness anchor**: with K = 1 and one network, every branch below
 //! reduces to the single-device loop's arithmetic on the same values in
-//! the same order, and `tests/fleet.rs` asserts the resulting report is
-//! byte-identical to [`serve`](crate::server::serve)'s.
+//! the same order, and `tests/fleet.rs` asserts the resulting schedule
+//! is bit-identical to [`serve`](crate::server::serve)'s; `tests/golden.rs`
+//! pins whole reports against recorded bytes.
 
 use crate::adaptive::AdaptivePolicy;
 use crate::batch::{bucket_for, buckets, BatchPolicy};
@@ -65,8 +58,9 @@ use std::collections::{BTreeSet, VecDeque};
 
 /// Hot-path counters, resolved through the perf registry's lock exactly
 /// once per process (every later bump is one relaxed atomic add).
+/// One `fleet.barrier.count` per route→commit transition (the points
+/// where cold buckets batch-compile).
 static BARRIERS: perf::CachedCounter = perf::CachedCounter::new("fleet.barrier.count");
-static PARALLEL_STEPS: perf::CachedCounter = perf::CachedCounter::new("fleet.step.parallel");
 static BATCH_COMPILES: perf::CachedCounter = perf::CachedCounter::new("fleet.plan.batch_compile");
 /// Orchestrator event tallies behind the fleet bench's events/sec
 /// figure: one `fleet.route.count` per routed arrival, one
@@ -97,10 +91,11 @@ pub struct FleetConfig {
     pub faults: Option<FaultPlan>,
     /// How each device responds to faults and queue pressure.
     pub fault_policy: FaultPolicy,
-    /// SLO tenants. Empty (the default) keeps the class-blind loop and
-    /// a report byte-identical to the pre-tenant one; non-empty turns on
+    /// SLO tenants. Empty (the default) schedules class-blind, with a
+    /// report byte-identical to the pre-tenant one; non-empty turns on
     /// per-tenant lanes, deadline-aware commit, admission control, and
-    /// the weighted-fair tiebreak (unless `MEMCNN_SLO_DISABLE=1`).
+    /// the weighted-fair tiebreak. A clone with `tenants` cleared is the
+    /// class-blind schedule of the same stream.
     pub tenants: Vec<TenantSpec>,
     /// Whole-device lifecycle faults (crash / hang / drain, plus the
     /// repair/warmup healer). `None` — or a no-op plan, or
@@ -258,7 +253,7 @@ pub struct FleetReport {
     /// whole track — is monotonically non-decreasing in time.
     pub timeline: MetricsTimeline,
     /// Per-tenant accounting, fairness, and SLO violations; `None` for
-    /// class-blind runs (no tenants, or `MEMCNN_SLO_DISABLE=1`).
+    /// class-blind runs (no tenants configured).
     pub slo: Option<SloReport>,
     /// Device-lifecycle recovery tallies; `None` when no live
     /// `DeviceFaultPlan` (none configured, a no-op plan, or
@@ -384,9 +379,8 @@ struct DeviceState {
     /// Simulated seconds the device spent occupied (attempts, backoffs,
     /// and completed service) — the numerator of its utilization gauge.
     busy: f64,
-    /// Fairness deficit credit per tenant (device-local, so the
-    /// sequential and parallel paths settle identical values in commit
-    /// order). One entry per lane; a single 0.0 on class-blind runs.
+    /// Fairness deficit credit per tenant, settled in commit order. One
+    /// entry per lane; a single 0.0 on class-blind runs.
     credits: Vec<f64>,
     /// Requests shed per tenant on this device (batch sheds plus
     /// overdue-deadline sheds). One entry per lane.
@@ -398,9 +392,8 @@ struct DeviceState {
     preempt: u64,
     /// Commit horizon from the health layer: the device's next pending
     /// crash/hang time. Batches launching at or past it must wait for
-    /// the event to be processed at a routing point — in *both* loops,
-    /// which is what keeps device deaths replay-identical. `INFINITY`
-    /// without a fault plan.
+    /// the event to be processed at a routing point, which is what keeps
+    /// device deaths replay-identical. `INFINITY` without a fault plan.
     halt: f64,
     /// `true` while the device is `Down`: it commits nothing, and
     /// placement only reaches it through the all-down fallback.
@@ -414,10 +407,6 @@ struct DeviceState {
     /// Pending images across the device (companion to
     /// `queued_requests`; raw request sizes, not bucket-clamped).
     queued_images: usize,
-    /// Recycled `Op` buffers: the parallel barrier replay returns each
-    /// drained event's buffer here so steady-state stepping allocates no
-    /// fresh `Vec<Op>` per commit.
-    spare_ops: Vec<Vec<Op>>,
 }
 
 impl DeviceState {
@@ -501,35 +490,9 @@ fn shed_overdue(
     shed
 }
 
-/// One order-sensitive global side effect of a commit. Device steps are
-/// otherwise independent between routing barriers; everything that
-/// touches shared state — the latency vector, the recorder (whose
-/// sliding window and running-counter gauges are order-sensitive), the
-/// fleet-wide shed total, and the plan-cache hit bookkeeping — funnels
-/// through this enum so the parallel path can defer it and replay it in
-/// the sequential merge order.
-enum Op {
-    /// A plan-cache lookup on pair `(d, n)` for `bucket` (the
-    /// `seen_plans` hit/lookup bookkeeping behind the hit-rate gauge).
-    Lookup { d: usize, n: usize, bucket: usize },
-    /// Request `id` finished with `latency` (latency vector write plus
-    /// the recorder's histogram observation).
-    Served { id: u64, latency: f64 },
-    /// The gauge block at the end of a successful commit.
-    DoneGauges { d: usize, launch: f64, depth: usize, util: f64, degraded: bool },
-    /// The gauge block after a batch was shed mid-ladder; `batch_shed`
-    /// joins the fleet total *before* the `shed.total` sample.
-    ShedGauges { d: usize, launch: f64, batch_shed: usize, util: f64 },
-    /// The degraded gauge after an OOM downshift.
-    DownshiftGauge { d: usize, launch: f64 },
-    /// Head-of-line requests shed by the post-commit deadline check.
-    OverdueShed { count: usize },
-}
-
 /// Per-tenant global accounting for SLO runs: the attribution table
-/// plus the tallies only the globally ordered `Op::Served` replay can
-/// settle deterministically (completions, served images, violations,
-/// keyed latency histograms).
+/// plus the tallies settled as requests complete (completions, served
+/// images, violations, keyed latency histograms).
 struct GlobalsSlo {
     /// `tenant_of[id]` — the request's tenant (from [`tenant_tags`]).
     tenant_of: Vec<u32>,
@@ -590,9 +553,10 @@ impl FleetGaugeIds {
     }
 }
 
-/// The shared mutable state every [`Op`] replays into. The sequential
-/// path applies ops as they happen; the parallel path applies the same
-/// ops in the same order at the barrier.
+/// Run-wide state every commit writes into: the latency and placement
+/// vectors, the recorder (whose sliding window and running-counter
+/// gauges are order-sensitive), the fleet-wide shed total, and the
+/// plan-cache hit bookkeeping.
 struct Globals {
     latencies: Vec<f64>,
     placements: Vec<u32>,
@@ -602,113 +566,83 @@ struct Globals {
     cache_lookups: u64,
     cache_hits: u64,
     fleet_shed: usize,
-    /// `Some` only on SLO runs; `None` keeps every apply branch below
-    /// byte-identical to the pre-tenant replay.
+    /// `Some` only on SLO runs; `None` keeps every branch below
+    /// byte-identical to the pre-tenant accounting.
     slo: Option<GlobalsSlo>,
 }
 
 impl Globals {
-    fn apply(&mut self, op: &Op) {
-        match *op {
-            Op::Lookup { d, n, bucket } => {
-                self.cache_lookups += 1;
-                if !self.seen_plans.insert((d, n, bucket)) {
-                    self.cache_hits += 1;
-                }
-            }
-            Op::Served { id, latency } => {
-                self.latencies[id as usize] = latency;
-                self.rec.observe_latency(latency);
-                if let Some(s) = self.slo.as_mut() {
-                    let t = s.tenant_of[id as usize] as usize;
-                    s.completed[t] += 1;
-                    s.images[t] += s.images_of[id as usize];
-                    if s.p99[t].is_some_and(|b| latency > b) {
-                        s.violations[t] += 1;
-                    }
-                    self.rec.observe_latency_keyed_at(s.latency_keys[t], latency);
-                }
-            }
-            Op::DoneGauges { d, launch, depth, util, degraded } => {
-                self.rec.gauge_at(self.ids.dev_depth[d], launch, depth as f64);
-                self.rec.gauge_at(self.ids.dev_util[d], launch, util);
-                self.rec.gauge_at(
-                    self.ids.dev_degraded[d],
-                    launch,
-                    if degraded { 1.0 } else { 0.0 },
-                );
-                self.rec.gauge_at(
-                    self.ids.plan_hit_rate,
-                    launch,
-                    self.cache_hits as f64 / self.cache_lookups as f64,
-                );
-                self.rec.gauge_at(self.ids.shed_total, launch, self.fleet_shed as f64);
-                if let Some(s) = &self.slo {
-                    let total: u64 = s.violations.iter().sum();
-                    self.rec.gauge_at(self.ids.slo_violations, launch, total as f64);
-                    for (t, id) in s.violation_ids.iter().enumerate() {
-                        if let Some(id) = *id {
-                            self.rec.gauge_at(id, launch, s.violations[t] as f64);
-                        }
-                    }
-                }
-                self.rec.sample_window(launch);
-            }
-            Op::ShedGauges { d, launch, batch_shed, util } => {
-                self.fleet_shed += batch_shed;
-                self.rec.gauge_at(self.ids.shed_total, launch, self.fleet_shed as f64);
-                self.rec.gauge_at(self.ids.dev_util[d], launch, util);
-            }
-            Op::DownshiftGauge { d, launch } => {
-                self.rec.gauge_at(self.ids.dev_degraded[d], launch, 1.0);
-            }
-            Op::OverdueShed { count } => self.fleet_shed += count,
+    /// A plan-cache lookup on pair `(d, n)` for `bucket` (the hit/lookup
+    /// bookkeeping behind the hit-rate gauge).
+    fn lookup(&mut self, d: usize, n: usize, bucket: usize) {
+        self.cache_lookups += 1;
+        if !self.seen_plans.insert((d, n, bucket)) {
+            self.cache_hits += 1;
         }
     }
-}
 
-/// Where a commit sends its global effects: straight into [`Globals`]
-/// (sequential path) or into a per-event buffer for barrier replay
-/// (parallel path).
-trait EffectSink {
-    fn emit(&mut self, op: Op);
-}
+    /// Request `id` finished with `latency`: the latency vector write
+    /// plus the recorder's histogram observation.
+    fn served(&mut self, id: u64, latency: f64) {
+        self.latencies[id as usize] = latency;
+        self.rec.observe_latency(latency);
+        if let Some(s) = self.slo.as_mut() {
+            let t = s.tenant_of[id as usize] as usize;
+            s.completed[t] += 1;
+            s.images[t] += s.images_of[id as usize];
+            if s.p99[t].is_some_and(|b| latency > b) {
+                s.violations[t] += 1;
+            }
+            self.rec.observe_latency_keyed_at(s.latency_keys[t], latency);
+        }
+    }
 
-impl EffectSink for Globals {
-    fn emit(&mut self, op: Op) {
-        self.apply(&op);
+    /// The gauge block at the end of a successful commit.
+    fn done_gauges(&mut self, d: usize, launch: f64, depth: usize, util: f64, degraded: bool) {
+        self.rec.gauge_at(self.ids.dev_depth[d], launch, depth as f64);
+        self.rec.gauge_at(self.ids.dev_util[d], launch, util);
+        self.rec.gauge_at(self.ids.dev_degraded[d], launch, if degraded { 1.0 } else { 0.0 });
+        self.rec.gauge_at(
+            self.ids.plan_hit_rate,
+            launch,
+            self.cache_hits as f64 / self.cache_lookups as f64,
+        );
+        self.rec.gauge_at(self.ids.shed_total, launch, self.fleet_shed as f64);
+        if let Some(s) = &self.slo {
+            let total: u64 = s.violations.iter().sum();
+            self.rec.gauge_at(self.ids.slo_violations, launch, total as f64);
+            for (t, id) in s.violation_ids.iter().enumerate() {
+                if let Some(id) = *id {
+                    self.rec.gauge_at(id, launch, s.violations[t] as f64);
+                }
+            }
+        }
+        self.rec.sample_window(launch);
     }
 }
 
-impl EffectSink for Vec<Op> {
-    fn emit(&mut self, op: Op) {
-        self.push(op);
-    }
-}
-
-/// The SLO slice of a [`StepCtx`]: per-tenant commit budgets derived
-/// from the step's frozen delay, class ranks, and the tenant specs (for
+/// The SLO slice of a [`CommitCtx`]: per-tenant commit budgets derived
+/// from the current policy delay, class ranks, and the tenant specs (for
 /// names and fairness weights).
-struct SloStepCtx<'a> {
+struct SloCommitCtx<'a> {
     budgets: Vec<f64>,
     ranks: Vec<u8>,
     tenants: &'a [TenantSpec],
 }
 
-/// Read-only inputs shared by every commit between two routing barriers
-/// (the effective delay is frozen during a step phase — it only changes
+/// Read-only inputs to the commit path (the effective delay only changes
 /// when an arrival crosses a workload phase boundary, which is routing;
 /// the per-class budgets in `slo` are re-derived from it then too).
-struct StepCtx<'a, 'e> {
+struct CommitCtx<'a, 'e> {
     engines: &'a [&'e Engine],
     nets: &'a [Network],
     delay: f64,
     pol: FaultPolicy,
     fplan: Option<FaultPlan>,
-    slo: Option<SloStepCtx<'a>>,
+    slo: Option<SloCommitCtx<'a>>,
 }
 
-impl StepCtx<'_, '_> {
+impl CommitCtx<'_, '_> {
     /// The commit budget lane `t` grows its window under: the tenant's
     /// class budget on SLO runs, the uniform policy delay otherwise.
     fn lane_delay(&self, t: usize) -> f64 {
@@ -722,7 +656,7 @@ impl StepCtx<'_, '_> {
 /// pre-tenant per-device scan); SLO runs break exact launch ties by
 /// fairness credit, then class rank, then iteration order.
 fn device_best(
-    ctx: &StepCtx,
+    ctx: &CommitCtx,
     pairs_d: &[PairState],
     dev: &DeviceState,
 ) -> Option<(f64, usize, usize)> {
@@ -760,15 +694,15 @@ fn device_best(
 /// single-device loop body, verbatim, on this lane's queue and this
 /// device's clock. Returns `Ok(true)` when a batch committed and
 /// `Ok(false)` when a plan-time OOM halved the pair's cap instead (the
-/// caller re-selects; the sequential loop's `continue`).
-fn commit_pair<S: EffectSink>(
-    ctx: &StepCtx,
+/// caller re-selects).
+fn commit_pair(
+    ctx: &CommitCtx,
     pairs_d: &mut [PairState],
     dev: &mut DeviceState,
     d: usize,
     n: usize,
     t: usize,
-    sink: &mut S,
+    g: &mut Globals,
 ) -> Result<bool, EngineError> {
     let emax = pairs_d[n].emax();
     let lane = &pairs_d[n].lanes[t];
@@ -808,7 +742,7 @@ fn commit_pair<S: EffectSink>(
             }
         }
     }
-    sink.emit(Op::Lookup { d, n, bucket });
+    g.lookup(d, n, bucket);
     let plan = match pairs_d[n].cache.get(bucket) {
         Ok(plan) => plan,
         Err(err @ EngineError::PlanOom { .. }) => {
@@ -856,7 +790,7 @@ fn commit_pair<S: EffectSink>(
                 let lane = &mut pairs_d[n].lanes[t];
                 let mut taken_images = 0usize;
                 for r in &lane.queue[lane.next..j_end] {
-                    sink.emit(Op::Served { id: r.id, latency: done - r.arrival });
+                    g.served(r.id, done - r.arrival);
                     taken_images += r.images;
                 }
                 let reqs = j_end - lane.next;
@@ -939,7 +873,7 @@ fn commit_pair<S: EffectSink>(
             dev.gpu_free = done;
             let degraded = pairs_d.iter().any(|p| p.pin.is_some());
             let util = if done > 0.0 { dev.busy / done } else { 0.0 };
-            sink.emit(Op::DoneGauges { d, launch, depth, util, degraded });
+            g.done_gauges(d, launch, depth, util, degraded);
             if let Some(s) = &ctx.slo {
                 settle_credits(
                     &mut dev.credits,
@@ -961,7 +895,10 @@ fn commit_pair<S: EffectSink>(
             dev.busy += at - launch;
             dev.gpu_free = at;
             let util = if at > 0.0 { dev.busy / at } else { 0.0 };
-            sink.emit(Op::ShedGauges { d, launch, batch_shed, util });
+            // `batch_shed` joins the fleet total before the sample.
+            g.fleet_shed += batch_shed;
+            g.rec.gauge_at(g.ids.shed_total, launch, g.fleet_shed as f64);
+            g.rec.gauge_at(g.ids.dev_util[d], launch, util);
             if let Some(s) = &ctx.slo {
                 settle_credits(
                     &mut dev.credits,
@@ -981,140 +918,18 @@ fn commit_pair<S: EffectSink>(
             pair.clean_streak = 0;
             dev.busy += at - launch;
             dev.gpu_free = at;
-            sink.emit(Op::DownshiftGauge { d, launch });
+            g.rec.gauge_at(g.ids.dev_degraded[d], launch, 1.0);
         }
     }
     // `gpu_free` moved: every network's queue on this device gets
     // the single-device loop's top-of-iteration overdue check.
-    let mut overdue = 0usize;
     for pair in pairs_d.iter_mut() {
         for (t2, lane) in pair.lanes.iter_mut().enumerate() {
-            overdue += shed_overdue(lane, dev, d, t2, ctx.pol.shed_deadline);
+            g.fleet_shed += shed_overdue(lane, dev, d, t2, ctx.pol.shed_deadline);
         }
-    }
-    if overdue > 0 {
-        sink.emit(Op::OverdueShed { count: overdue });
     }
     COMMITS.incr();
     Ok(true)
-}
-
-/// One device's committed batch (possibly a plan-OOM compound: the cap
-/// halvings plus the commit that followed them), keyed for the barrier
-/// merge by the launch of its *first* pair selection.
-struct DeviceEvent {
-    key: f64,
-    ops: Vec<Op>,
-}
-
-/// Step one device through every batch it commits before `t_next` (all
-/// of them when `t_next` is `None`): the sequential loop restricted to
-/// one device, emitting one [`DeviceEvent`] per commit. A plan-OOM
-/// re-selection stays inside the event that opened it — the sequential
-/// loop provably re-selects the same pair immediately, so the compound
-/// occupies a single slot in the global order, keyed by its first
-/// selection (whose launch may *exceed* the post-halving commit's).
-fn step_device(
-    ctx: &StepCtx,
-    pairs_d: &mut [PairState],
-    dev: &mut DeviceState,
-    d: usize,
-    t_next: Option<f64>,
-) -> Result<Vec<DeviceEvent>, EngineError> {
-    let mut events = Vec::new();
-    let mut open: Option<DeviceEvent> = None;
-    loop {
-        // Local best: the shared per-device scan (same strict `<`
-        // tie-break over ascending network index as the sequential
-        // loop's device-major global scan; lane tie-breaks on SLO runs).
-        let Some((launch, n, t)) = device_best(ctx, pairs_d, dev) else {
-            debug_assert!(open.is_none(), "plan-OOM compound left open with no pending work");
-            break;
-        };
-        // The barrier condition: commit strictly before the next
-        // unrouted arrival (the route-first rule routes on ties). A
-        // compound never straddles it — post-halving launches only
-        // shrink — so an open compound always finishes its commit.
-        if open.is_none() && t_next.is_some_and(|tb| launch >= tb) {
-            break;
-        }
-        let mut ev = open.take().unwrap_or_else(|| DeviceEvent {
-            key: launch,
-            // Reuse a buffer the last barrier replay returned (the
-            // replay clears before recycling), so steady-state stepping
-            // allocates no per-commit `Vec<Op>`.
-            ops: dev.spare_ops.pop().unwrap_or_default(),
-        });
-        if commit_pair(ctx, pairs_d, dev, d, n, t, &mut ev.ops)? {
-            events.push(ev);
-        } else {
-            open = Some(ev);
-        }
-    }
-    Ok(events)
-}
-
-/// Whether `MEMCNN_FLEET_SEQUENTIAL` forces the legacy single-threaded
-/// event loop. Read on every call (unlike `MEMCNN_THREADS` it is not
-/// once-locked, so tests can pin both paths in one process); the result
-/// is bit-identical either way — the knob exists as the byte-identity
-/// control and an escape hatch.
-fn sequential_requested() -> bool {
-    sequential_from(std::env::var("MEMCNN_FLEET_SEQUENTIAL").ok().as_deref())
-}
-
-/// Parse a `MEMCNN_FLEET_SEQUENTIAL` value, warning on stderr and
-/// falling back to the parallel path when it is present but not a
-/// recognized boolean. Pure so the fallback is unit-testable; the
-/// `Once` guarantees the warning fires at most once per process.
-fn sequential_from(raw: Option<&str>) -> bool {
-    match raw {
-        None => false,
-        Some("1") | Some("true") => true,
-        Some("0") | Some("false") => false,
-        Some(v) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "memcnn: ignoring malformed MEMCNN_FLEET_SEQUENTIAL={v:?} \
-                     (want 1/0/true/false); using the parallel path"
-                );
-            });
-            false
-        }
-    }
-}
-
-/// Whether `MEMCNN_FLEET_LINEAR` forces the pre-index hot path: the
-/// O(K) linear `global_best` scan plus the pair-walking placement load
-/// snapshot. The selections are identical by construction (the index's
-/// comparator is the scan's total order — `tests/fleet.rs` pins report
-/// byte-identity); the knob exists as the regression-gate baseline for
-/// the fleet bench's orchestrator events/sec figure and as an escape
-/// hatch.
-fn linear_requested() -> bool {
-    linear_from(std::env::var("MEMCNN_FLEET_LINEAR").ok().as_deref())
-}
-
-/// Parse a `MEMCNN_FLEET_LINEAR` value, warning on stderr and falling
-/// back to the indexed path when it is present but not a recognized
-/// boolean (the `MEMCNN_FLEET_SEQUENTIAL` fallback convention).
-fn linear_from(raw: Option<&str>) -> bool {
-    match raw {
-        None => false,
-        Some("1") | Some("true") => true,
-        Some("0") | Some("false") => false,
-        Some(v) => {
-            static WARN: std::sync::Once = std::sync::Once::new();
-            WARN.call_once(|| {
-                eprintln!(
-                    "memcnn: ignoring malformed MEMCNN_FLEET_LINEAR={v:?} \
-                     (want 1/0/true/false); using the indexed router"
-                );
-            });
-            false
-        }
-    }
 }
 
 /// Adaptive-delay state: the effective delay, the inter-arrival EMA,
@@ -1139,8 +954,7 @@ struct SloRun {
     rejected: Vec<u64>,
 }
 
-/// The in-flight state of one fleet run, shared by the sequential and
-/// parallel drivers so both execute the identical per-event arithmetic.
+/// The in-flight state of one fleet run.
 struct FleetRun<'e, 'a> {
     engines: &'a [&'e Engine],
     nets: &'a [Network],
@@ -1158,7 +972,7 @@ struct FleetRun<'e, 'a> {
     max: usize,
     k: usize,
     nn: usize,
-    /// `Some` only on SLO runs (tenants configured and not disabled).
+    /// `Some` only on SLO runs (tenants configured).
     slo_run: Option<SloRun>,
     /// `Some` only with a live device-fault plan (configured, non-noop,
     /// and not disabled via `MEMCNN_HEALTH_DISABLE`).
@@ -1169,8 +983,11 @@ struct FleetRun<'e, 'a> {
     /// routes, commits, sheds, health transitions, failovers, delay
     /// changes).
     index: RouteIndex,
-    /// `MEMCNN_FLEET_LINEAR=1`: bypass the index (see
-    /// [`linear_requested`]).
+    /// `MEMCNN_FLEET_LINEAR=1`: bypass the index with the O(K) linear
+    /// `global_best` scan plus the pair-walking placement load snapshot.
+    /// The selections are identical by construction (the index's
+    /// comparator is the scan's total order); the knob is the baseline
+    /// of the fleet bench's indexed-vs-linear events/sec gate.
     linear: bool,
     /// Recycled placement-snapshot buffer (`route_one` and
     /// `requeue_transit` fill it per arrival instead of allocating).
@@ -1178,18 +995,18 @@ struct FleetRun<'e, 'a> {
 }
 
 impl<'e, 'a> FleetRun<'e, 'a> {
-    /// Freeze the step inputs for the current effective delay. Rebuilt
+    /// Freeze the commit inputs for the current effective delay. Rebuilt
     /// whenever routing may have changed the delay; borrows only the
     /// run's `'a` inputs so the caller can keep mutating the run state.
-    fn step_ctx(&self) -> StepCtx<'a, 'e> {
+    fn commit_ctx(&self) -> CommitCtx<'a, 'e> {
         let cfg = self.cfg;
-        StepCtx {
+        CommitCtx {
             engines: self.engines,
             nets: self.nets,
             delay: self.delay.policy_delay,
             pol: self.pol,
             fplan: self.fplan,
-            slo: self.slo_run.as_ref().map(|_| SloStepCtx {
+            slo: self.slo_run.as_ref().map(|_| SloCommitCtx {
                 budgets: cfg
                     .tenants
                     .iter()
@@ -1211,7 +1028,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     /// The index's comparator *is* the linear scan's total order, so
     /// the selection — and therefore every report byte — is identical;
     /// debug builds re-run the scan and assert it.
-    fn global_best(&mut self, ctx: &StepCtx) -> Option<(f64, usize, usize, usize)> {
+    fn global_best(&mut self, ctx: &CommitCtx) -> Option<(f64, usize, usize, usize)> {
         if self.linear {
             return self.global_best_linear(ctx);
         }
@@ -1228,7 +1045,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
 
     /// The retained reference scan (`MEMCNN_FLEET_LINEAR=1`, the
     /// debug-build cross-check, and the equivalence tests).
-    fn global_best_linear(&self, ctx: &StepCtx) -> Option<(f64, usize, usize, usize)> {
+    fn global_best_linear(&self, ctx: &CommitCtx) -> Option<(f64, usize, usize, usize)> {
         let mut best: Option<(f64, usize, usize, usize)> = None;
         for (d, dev) in self.devs.iter().enumerate() {
             if let Some((launch, n, t)) = device_best(ctx, &self.pairs[d], dev) {
@@ -1257,9 +1074,8 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         ROUTES.incr();
         let r = self.requests[self.next_arrival];
         // Device lifecycle first: every fault event at or before this
-        // arrival fires now, in both loops at the identical state point
-        // (the route-first rule has applied exactly the commits
-        // launching before `r.arrival` in each).
+        // arrival fires now, after exactly the commits launching before
+        // `r.arrival` (the route-first rule).
         self.advance_health(r.arrival);
         // Phase boundaries crossed by this arrival re-derive the
         // delay from the EMA observed so far. A delay change shifts
@@ -1413,8 +1229,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     }
 
     /// Fire every device-fault event due by `now` and drain the transit
-    /// buffer. Called at every routing point — where both loops hold
-    /// bit-identical state — and nowhere else.
+    /// buffer. Called at every routing point and nowhere else.
     fn advance_health(&mut self, now: f64) {
         let Some(mut h) = self.health.take() else { return };
         for d in 0..self.k {
@@ -1654,10 +1469,9 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     /// no further routing point will fire health events — so fail over
     /// whatever is still queued on `Down` devices and settle the transit
     /// buffer (re-place onto any non-`Down` device, shed if the whole
-    /// fleet is dead). Runs at the identical state point in both loops:
-    /// immediately after the final route, before the next commit.
-    /// Returns whether it ran (the sequential loop re-evaluates its
-    /// global best afterwards).
+    /// fleet is dead). Runs immediately after the final route, before
+    /// the next commit. Returns whether it ran (the loop re-evaluates
+    /// its global best afterwards).
     fn drain_flush(&mut self) -> bool {
         let Some(mut h) = self.health.take() else { return false };
         if h.flushed {
@@ -1720,138 +1534,56 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         true
     }
 
-    /// The legacy single-threaded loop: alternate between routing the
-    /// next arrival and committing the global-best batch, whichever
-    /// comes first on the simulated clock.
-    fn run_sequential(&mut self) -> Result<(), EngineError> {
+    /// The event loop: alternate between routing the next arrival and
+    /// committing the global-best batch, whichever comes first on the
+    /// simulated clock. Each route→commit transition batch-compiles the
+    /// cold buckets the coming commits are predicted to need.
+    fn run(&mut self) -> Result<(), EngineError> {
+        let mut routed = false;
         loop {
-            let ctx = self.step_ctx();
+            let ctx = self.commit_ctx();
             let best = self.global_best(&ctx);
             if self.should_route(best) {
                 self.route_one();
+                routed = true;
                 continue;
             }
             // Routing exhausted: settle the health layer (fail over
             // dead devices' queues, clear halt horizons) before the
-            // remaining commits drain the fleet. State point:
-            // immediately after the last route, before the next commit
-            // — the same point the parallel loop flushes at.
+            // remaining commits drain the fleet.
             if self.next_arrival >= self.requests.len() && self.drain_flush() {
                 continue;
             }
             let Some((_, d, n, t)) = best else { break };
+            if routed {
+                routed = false;
+                BARRIERS.incr();
+                self.batch_compile(self.requests.get(self.next_arrival).map(|r| r.arrival));
+            }
             commit_pair(&ctx, &mut self.pairs[d], &mut self.devs[d], d, n, t, &mut self.g)?;
             self.index.mark(d);
         }
         Ok(())
     }
 
-    /// The barrier-stepped parallel loop: route every arrival up to the
-    /// barrier, batch-compile predicted cold buckets, step active
-    /// devices concurrently, then replay their deferred effects in the
-    /// sequential merge order.
-    fn run_parallel(&mut self) -> Result<(), EngineError> {
-        loop {
-            // Routing barrier: place arrivals until the next one is
-            // strictly later than every tentative launch. This is the
-            // exact run of consecutive routes the sequential loop
-            // performs between two commits.
-            loop {
-                let ctx = self.step_ctx();
-                let best = self.global_best(&ctx);
-                if !self.should_route(best) {
-                    break;
-                }
-                self.route_one();
-            }
-            let t_next = self.requests.get(self.next_arrival).map(|r| r.arrival);
-            if t_next.is_none() {
-                // Same state point as the sequential flush: the last
-                // arrival just routed and nothing has committed since.
-                self.drain_flush();
-            }
-            let active: Vec<usize> = (0..self.k)
-                .filter(|&d| !self.devs[d].blocked && self.pairs[d].iter().any(|p| p.has_pending()))
-                .collect();
-            if active.is_empty() {
-                // Nothing pending and nothing routable: the run is
-                // drained (the route loop would otherwise have routed).
-                debug_assert!(t_next.is_none(), "arrivals remain but none were routed");
-                break;
-            }
-            BARRIERS.incr();
-            self.batch_compile(t_next);
-            if active.len() >= 2 {
-                PARALLEL_STEPS.incr();
-            }
-
-            let ctx = self.step_ctx();
-            let mut tasks: Vec<(usize, &mut Vec<PairState>, &mut DeviceState)> =
-                Vec::with_capacity(active.len());
-            for (d, (pairs_d, dev)) in self.pairs.iter_mut().zip(self.devs.iter_mut()).enumerate() {
-                if active.binary_search(&d).is_ok() {
-                    tasks.push((d, pairs_d, dev));
-                }
-            }
-            let fork = trace::fork();
-            let results = rayon::scope_map(tasks, |(d, pairs_d, dev)| {
-                let _w = fork.attach(d);
-                step_device(&ctx, pairs_d, dev, d, t_next)
-            });
-            fork.merge();
-
-            // Greedy k-way head merge: at every point a queue's head key
-            // equals that device's then-current local best, so popping
-            // the `(key, device)` minimum replays the sequential loop's
-            // global selection exactly. A flat sort would NOT — plan-OOM
-            // compounds make per-device key sequences non-monotone.
-            let mut queues: Vec<(usize, VecDeque<DeviceEvent>)> = Vec::with_capacity(active.len());
-            for (&d, res) in active.iter().zip(results) {
-                queues.push((d, VecDeque::from(res?)));
-                // The barrier stepped every active device's queues and
-                // clock; their cached launch keys are stale.
-                self.index.mark(d);
-            }
-            loop {
-                let mut pick: Option<(f64, usize, usize)> = None;
-                for (i, (d, q)) in queues.iter().enumerate() {
-                    if let Some(head) = q.front() {
-                        if pick.is_none_or(|(bk, bd, _)| (head.key, *d) < (bk, bd)) {
-                            pick = Some((head.key, *d, i));
-                        }
-                    }
-                }
-                let Some((_, _, i)) = pick else { break };
-                let mut ev = queues[i].1.pop_front().expect("picked head exists");
-                for op in &ev.ops {
-                    self.g.apply(op);
-                }
-                // Recycle the replayed event's op buffer into the
-                // device's spare pool for the next barrier.
-                ev.ops.clear();
-                self.devs[queues[i].0].spare_ops.push(ev.ops);
-            }
-        }
-        Ok(())
-    }
-
-    /// Speculatively compile the cold buckets this barrier's first
-    /// commits would hit: predict each pending pair's next bucket,
-    /// dedup identical (engine, network, bucket) compiles (homogeneous
-    /// fleets share engines, hence plans), and stage the results so the
-    /// in-step `get` consumes them as the misses they would have been.
+    /// Speculatively compile the cold buckets the commits before the
+    /// next arrival `t_next` would hit: predict each pending lane's next
+    /// bucket, dedup identical (engine, network, bucket) compiles
+    /// (homogeneous fleets share engines, hence plans), and stage the
+    /// results so the commit's `get` consumes them as the misses they
+    /// would have been.
     /// A single distinct compile runs inline on the orchestrator to
     /// keep the engine's internal probe fan-out (workers suppress
     /// nested parallelism); two or more fan out across the pool.
     /// Mispredictions waste a compile but are report- and
     /// counter-invisible: staged results only surface through `get`.
     fn batch_compile(&mut self, t_next: Option<f64>) {
-        let ctx = self.step_ctx();
+        let ctx = self.commit_ctx();
         let mut compiles: Vec<(usize, usize, usize)> = Vec::new();
         let mut waiters: Vec<Vec<(usize, usize)>> = Vec::new();
         for (d, pairs_d) in self.pairs.iter().enumerate() {
             if self.devs[d].blocked {
-                continue; // a Down device commits nothing this step
+                continue; // a Down device commits nothing
             }
             for (n, pair) in pairs_d.iter().enumerate() {
                 let emax = pair.emax();
@@ -1867,7 +1599,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                         ctx.lane_delay(lt),
                     );
                     if t_next.is_some_and(|t| launch >= t) || launch >= self.devs[d].halt {
-                        continue; // won't commit this step
+                        continue; // won't commit before the next route
                     }
                     let (_, images, _) = form(&lane.queue, lane.next, launch, emax);
                     let bucket = bucket_for(images, emax);
@@ -1922,13 +1654,12 @@ impl<'e, 'a> FleetRun<'e, 'a> {
 /// served or shed). Deterministic: same engine configs + networks +
 /// `cfg` give a bit-identical [`FleetReport`] — latencies, placements,
 /// batch records, fault statistics, and metrics timelines — independent
-/// of `MEMCNN_THREADS` and of the `MEMCNN_FLEET_SEQUENTIAL` escape
-/// hatch (the retained single-threaded loop).
+/// of `MEMCNN_THREADS`.
 ///
 /// `engines[d]` is device `d`; pass the same `&Engine` K times for a
 /// homogeneous fleet (they share the engine's simulation warmup, and
-/// the parallel path's batched cold-start compilation compiles each
-/// shared (network, bucket) plan once). Request `id % nets.len()`
+/// the batched cold-start compilation compiles each shared (network,
+/// bucket) plan once). Request `id % nets.len()`
 /// selects the request's network, so several networks multiplex across
 /// one fleet — and, through per-(device, network) plan caches, across
 /// one device.
@@ -1950,7 +1681,7 @@ pub fn serve_fleet(
     let max = cfg.policy.max_batch_images.max(1);
     let fplan = cfg.faults.filter(|p| !p.is_noop());
     let pol = cfg.fault_policy;
-    let dplan = if crate::health::health_disabled() {
+    let dplan = if crate::env_flag("MEMCNN_HEALTH_DISABLE", "keeping the health layer active") {
         None
     } else {
         cfg.device_faults.clone().filter(|p| !p.is_noop())
@@ -1979,7 +1710,7 @@ pub fn serve_fleet(
     // One lane per tenant when SLO scheduling is active; a single lane
     // otherwise, which makes every lane loop below reduce structurally
     // to the pre-tenant arithmetic (the byte-identity tests pin this).
-    let slo_active = !cfg.tenants.is_empty() && !crate::slo::slo_disabled();
+    let slo_active = !cfg.tenants.is_empty();
     let nlanes = if slo_active { cfg.tenants.len() } else { 1 };
     let tags: Vec<u32> = if slo_active {
         tenant_tags(cfg.workload.seed, requests.len(), &cfg.tenants)
@@ -2047,7 +1778,6 @@ pub fn serve_fleet(
             blocked: false,
             queued_requests: 0,
             queued_images: 0,
-            spare_ops: Vec::new(),
         })
         .collect();
 
@@ -2134,14 +1864,10 @@ pub fn serve_fleet(
         }),
         health,
         index: RouteIndex::new(k),
-        linear: linear_requested(),
+        linear: crate::env_flag("MEMCNN_FLEET_LINEAR", "using the indexed router"),
         loads_buf: Vec::new(),
     };
-    if sequential_requested() {
-        run.run_sequential()?;
-    } else {
-        run.run_parallel()?;
-    }
+    run.run()?;
     let FleetRun { pairs, devs, g, slo_run, health, .. } = run;
     let Globals { latencies, placements, rec, slo: g_slo, .. } = g;
 
@@ -2476,19 +2202,5 @@ mod tests {
         );
         assert!(serve_fleet(&[], std::slice::from_ref(&net), &cfg).is_err());
         assert!(serve_fleet(&[&e], &[], &cfg).is_err());
-    }
-
-    #[test]
-    fn sequential_knob_parses_and_malformed_falls_back() {
-        assert!(!sequential_from(None));
-        assert!(sequential_from(Some("1")));
-        assert!(sequential_from(Some("true")));
-        assert!(!sequential_from(Some("0")));
-        assert!(!sequential_from(Some("false")));
-        // Malformed values warn once on stderr and keep the parallel
-        // path (mirroring MEMCNN_THREADS' fallback convention).
-        assert!(!sequential_from(Some("yes")));
-        assert!(!sequential_from(Some("")));
-        assert!(!sequential_from(Some(" 1 ")));
     }
 }

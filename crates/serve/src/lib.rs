@@ -53,9 +53,10 @@
 //! weighted-fair deficit tiebreak when classes contend for a device
 //! slot, and per-tenant accounting with the
 //! `admitted == completed + shed + rejected + in_flight` balance
-//! invariant. `MEMCNN_SLO_DISABLE=1` forces the class-blind scheduler
-//! as an exact equivalence oracle; with no tenants configured the
-//! reports are byte-identical to the tenant-free builds.
+//! invariant. A config with no tenants runs the same lane loop with
+//! one class-blind lane, and its report is byte-identical to the
+//! tenant-free builds; clearing a config's tenants gives the
+//! class-blind schedule of the same stream.
 //!
 //! # Device failures & failover
 //!
@@ -68,7 +69,15 @@
 //! to `admitted == completed + shed + rejected + in_flight +
 //! failed_over_in_transit`. `MEMCNN_HEALTH_DISABLE=1` switches the
 //! layer off as the no-op oracle; everything stays bit-deterministic
-//! across `MEMCNN_THREADS` and vs `MEMCNN_FLEET_SEQUENTIAL=1`.
+//! across `MEMCNN_THREADS`.
+//!
+//! # Oracle knobs
+//!
+//! Two environment variables switch a live code path off to check it
+//! against its reference: `MEMCNN_FLEET_LINEAR=1` (the linear routing
+//! scan instead of the route index) and `MEMCNN_HEALTH_DISABLE=1`. Both
+//! are read on every call; a malformed value warns once on stderr and
+//! keeps the default path.
 
 #![warn(missing_docs)]
 #![deny(clippy::unwrap_used)]
@@ -106,3 +115,56 @@ pub use policy::{FaultPolicy, FaultStats};
 pub use server::{serve, BatchRecord, BucketStats, ServeConfig, ServeReport};
 pub use tenant::{tenant_tags, SloFairness, SloReport, TenantClass, TenantReport, TenantSpec};
 pub use workload::{generate, Arrival, Phase, Request, WorkloadConfig};
+
+/// Read the boolean oracle knob `name` (`1`/`true` or `0`/`false`;
+/// unset is `false`). Read on every call, unlike the once-locked
+/// `MEMCNN_THREADS`, so tests can pin both paths in one process.
+pub(crate) fn env_flag(name: &'static str, fallback_note: &str) -> bool {
+    flag_from(name, std::env::var(name).ok().as_deref(), fallback_note)
+}
+
+/// Parse one knob value. A present but unrecognized value warns on
+/// stderr, at most once per knob and process, and falls back to
+/// `false` (`fallback_note` says what that keeps).
+fn flag_from(name: &'static str, raw: Option<&str>, fallback_note: &str) -> bool {
+    match raw {
+        None | Some("0") | Some("false") => false,
+        Some("1") | Some("true") => true,
+        Some(v) => {
+            static WARNED: std::sync::Mutex<Vec<&str>> = std::sync::Mutex::new(Vec::new());
+            let mut warned = WARNED.lock().unwrap_or_else(|e| e.into_inner());
+            if !warned.contains(&name) {
+                warned.push(name);
+                eprintln!(
+                    "memcnn: ignoring malformed {name}={v:?} (want 1/0/true/false); {fallback_note}"
+                );
+            }
+            false
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::flag_from;
+
+    #[test]
+    fn env_flags_parse_and_malformed_values_fall_back() {
+        let cases = [
+            (None, false),
+            (Some("1"), true),
+            (Some("true"), true),
+            (Some("0"), false),
+            (Some("false"), false),
+            // Malformed values warn once and keep the default path.
+            (Some("yes"), false),
+            (Some(""), false),
+            (Some(" 1 "), false),
+        ];
+        for name in ["MEMCNN_FLEET_LINEAR", "MEMCNN_HEALTH_DISABLE"] {
+            for (raw, want) in cases {
+                assert_eq!(flag_from(name, raw, "keeping the default"), want, "{name}={raw:?}");
+            }
+        }
+    }
+}

@@ -45,7 +45,7 @@ pub(crate) struct RouteIndex {
     dirty: Vec<bool>,
     /// The stale devices, each listed once (drives the refresh).
     queue: Vec<usize>,
-    /// Everything is stale (cheaper than K marks at barriers and
+    /// Everything is stale (cheaper than K marks at drain flushes and
     /// phase-boundary delay changes).
     all_dirty: bool,
     /// Winner device per tree node; `tree[1]` is the root, leaf `d`
@@ -80,7 +80,7 @@ impl RouteIndex {
         }
     }
 
-    /// Mark every device stale (barrier steps, delay changes, drain
+    /// Mark every device stale (delay changes, drain
     /// flushes — anything that may have moved state fleet-wide).
     pub(crate) fn mark_all(&mut self) {
         self.all_dirty = true;

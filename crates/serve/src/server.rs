@@ -30,14 +30,16 @@
 //! `MEMCNN_THREADS`.
 
 use crate::batch::{bucket_for, BatchPolicy};
+use crate::fleet::window_launch;
 use crate::metrics::{latency_stats_served, LatencyStats};
 use crate::plan_cache::PlanCache;
 use crate::policy::{FaultPolicy, FaultStats};
-use crate::tenant::{SloReport, TenantSpec};
+use crate::slo::{lane_preempts, slo_report, Lane};
+use crate::tenant::{lane_beats, settle_credits, tenant_tags, Admission, SloReport, TenantSpec};
 use crate::workload::{self, Request, WorkloadConfig};
 use memcnn_core::{Engine, EngineError, Mechanism, Network, Plan};
 use memcnn_gpusim::FaultPlan;
-use memcnn_metrics::{MetricsTimeline, Recorder};
+use memcnn_metrics::{GaugeId, MetricsTimeline, Recorder};
 use memcnn_trace as trace;
 use memcnn_trace::perf;
 use serde::Serialize;
@@ -57,10 +59,11 @@ pub struct ServeConfig {
     pub faults: Option<FaultPlan>,
     /// How the loop responds to faults and queue pressure.
     pub fault_policy: FaultPolicy,
-    /// SLO tenants. Empty (the default) keeps the class-blind loop and
-    /// a report byte-identical to the pre-tenant one; non-empty routes
-    /// the run through the SLO-aware scheduler (`serve::slo`) unless
-    /// `MEMCNN_SLO_DISABLE=1` forces the class-blind oracle.
+    /// SLO tenants. Empty (the default) schedules one class-blind lane,
+    /// with a report byte-identical to the pre-tenant one; non-empty
+    /// gives each tenant a lane under its class budget (`serve::slo`). A
+    /// clone with `tenants` cleared is the class-blind schedule of the
+    /// same stream.
     pub tenants: Vec<TenantSpec>,
 }
 
@@ -189,7 +192,7 @@ pub struct ServeReport {
     /// bit-identical across `MEMCNN_THREADS` like the rest of the report.
     pub timeline: MetricsTimeline,
     /// Per-tenant accounting, fairness, and SLO violations; `None` for
-    /// class-blind runs (no tenants, or `MEMCNN_SLO_DISABLE=1`).
+    /// class-blind runs (no tenants configured).
     pub slo: Option<SloReport>,
 }
 
@@ -329,7 +332,7 @@ where
 }
 
 /// How one batch's launch-attempt loop ended. Shared by the
-/// single-device, fleet, and SLO serving loops.
+/// single-device and fleet serving loops.
 pub(crate) enum Outcome {
     /// The batch completed at `done`.
     Done { done: f64 },
@@ -440,10 +443,44 @@ pub(crate) fn launch_ladder(
     Ok(LadderEnd { outcome, attempts: attempt, throttles })
 }
 
+/// One lane's cached arbitration key: the tentative launch
+/// [`window_launch`] computed under the state fingerprint alongside it.
+/// The cache hit condition exploits the window rule's shape — the launch
+/// starts from `max(gpu_free, oldest)`, so while the device clock stays
+/// at or below the lane's oldest pending arrival the result does not
+/// depend on `gpu_free` at all, and an unchanged `(next, emax)` pair
+/// pins the rest of the inputs (the admitted queue itself is immutable
+/// once routed). Exact-`f64`-bits equality everywhere keeps the cached
+/// selection byte-identical to a fresh scan; debug builds assert it.
+struct LaneKey {
+    next: usize,
+    emax: usize,
+    gpu_free: f64,
+    launch: f64,
+}
+
+impl LaneKey {
+    /// Whether the cached launch is still exact for the current state.
+    fn valid(&self, next: usize, emax: usize, gpu_free: f64, oldest: f64) -> bool {
+        self.next == next
+            && self.emax == emax
+            && (self.gpu_free.to_bits() == gpu_free.to_bits()
+                || (self.gpu_free <= oldest && gpu_free <= oldest))
+    }
+}
+
 /// Run the serving simulation to completion (every generated request is
 /// served or shed). Deterministic: same engine config + network + `cfg`
 /// gives a bit-identical [`ServeReport`] — latencies, batch records, and
 /// fault statistics — independent of `MEMCNN_THREADS`.
+///
+/// With tenants, each tenant gets a lane under its class budget, with
+/// admission control and SLO accounting (the report carries
+/// `Some(SloReport)`; see [`slo`](crate::slo)). Without, one class-blind
+/// lane runs under the policy delay: no admission, and none of the SLO
+/// observability — no `slo.violations` gauge, keyed histogram, `tenant`
+/// span argument or SLO report — so the report is byte-identical to the
+/// pre-tenant server's.
 ///
 /// Errors are typed and terminal: plan-time OOM that cannot downshift
 /// further (bucket 1 does not fit) or a structurally infeasible plan.
@@ -454,25 +491,67 @@ pub fn serve(
     net: &Network,
     cfg: &ServeConfig,
 ) -> Result<ServeReport, EngineError> {
-    // Tenants route through the SLO-aware scheduler; the class-blind
-    // loop below is byte-for-byte the pre-tenant server (also the
-    // `MEMCNN_SLO_DISABLE=1` oracle when tenants are configured).
-    if !cfg.tenants.is_empty() && !crate::slo::slo_disabled() {
-        return crate::slo::serve_tenants(engine, net, cfg);
-    }
     let requests = workload::generate(&cfg.workload);
     perf::add("serve.requests", requests.len() as u64);
+    let n_requests = requests.len();
+    let tenants = &cfg.tenants;
+    let slo = !tenants.is_empty();
+    let nt = tenants.len();
+    let nlanes = nt.max(1);
     let max = cfg.policy.max_batch_images.max(1);
     let fplan = cfg.faults.filter(|p| !p.is_noop());
     let pol = cfg.fault_policy;
+    let delay = cfg.policy.max_queue_delay;
+    let budgets: Vec<f64> = if slo {
+        tenants.iter().map(|t| t.class.commit_budget(delay)).collect()
+    } else {
+        vec![delay]
+    };
+    let ranks: Vec<u8> = tenants.iter().map(|t| t.class.rank()).collect();
+    let p99s: Vec<Option<f64>> = tenants.iter().map(|t| t.class.p99_budget()).collect();
+
+    // Admission on the arrival clock, before anything queues: the token
+    // bucket is a pure function of the (deterministic) arrival sequence,
+    // so the lane contents are replayable from the seed.
+    let tags = if slo { tenant_tags(cfg.workload.seed, n_requests, tenants) } else { Vec::new() };
+    let mut admitted = vec![0u64; nt];
+    let mut rejected = vec![0u64; nt];
+    let mut lanes: Vec<Lane> = (0..nlanes).map(|_| Lane::new()).collect();
+    if slo {
+        let mut admission = Admission::new(tenants);
+        for (i, r) in requests.iter().enumerate() {
+            let t = tags[i] as usize;
+            admitted[t] += 1;
+            if admission.admit(t, r.arrival) {
+                lanes[t].queue.push(*r);
+            } else {
+                rejected[t] += 1;
+                fault_span(r.arrival, 0.0, || {
+                    (
+                        format!("reject request {}", r.id),
+                        vec![
+                            (trace::intern("reason").into(), trace::intern("admission").into()),
+                            (
+                                trace::intern("tenant").into(),
+                                trace::intern(&tenants[t].name).into(),
+                            ),
+                        ],
+                    )
+                });
+            }
+        }
+    } else {
+        lanes[0].queue = requests;
+    }
+
     let mut cache = PlanCache::new(engine, net, cfg.mechanism);
-    let mut latencies = vec![0.0f64; requests.len()];
+    let mut latencies = vec![0.0f64; n_requests];
     let mut batches: Vec<BatchRecord> = Vec::new();
     let mut stats = FaultStats::default();
     let mut shed_requests = 0usize;
+    let mut shed_by = vec![0u64; nlanes];
     let mut plan_ooms = 0u64;
     let mut gpu_free = 0.0f64;
-    let mut next = 0usize;
     // Monotonic launch-attempt counter: the fault stream's index. Every
     // attempt (retries included) consumes one index, so retries roll
     // fresh faults and the whole timeline is replayable from the seed.
@@ -483,59 +562,136 @@ pub fn serve(
     let mut plan_cap = max;
     let mut pin: Option<usize> = None;
     let mut clean_streak: u64 = 0;
-    // Timeline instrumentation: every gauge below reads loop-local state
-    // at a simulated event boundary, so the timeline inherits the run's
-    // thread-count independence. Plan-cache hit accounting is loop-local
+    // Timeline instrumentation: every gauge reads loop-local state at a
+    // simulated event boundary. Plan-cache hit accounting is loop-local
     // too (a bucket seen before is a hit) — the *global* perf counters
     // also see prewarm traffic and would not be deterministic here.
+    // Every recorder handle resolves once, so per-sample emission is an
+    // index push; unused registrations drop out of the finished timeline.
     let mut rec = Recorder::default();
+    let id_shed_total = rec.gauge_id("shed.total");
+    let id_queue_depth = rec.gauge_id("queue.depth");
+    let id_batch_images = rec.gauge_id("batch.images");
+    let id_batch_bucket = rec.gauge_id("batch.bucket");
+    let id_util = rec.gauge_id("util");
+    let id_hit_rate = rec.gauge_id("plan_cache.hit_rate");
+    let id_degraded = rec.gauge_id("degraded");
+    let id_violations = rec.gauge_id("slo.violations");
+    let tenant_keys: Vec<_> = tenants.iter().map(|t| rec.latency_key(&t.name)).collect();
+    let tenant_violation_ids: Vec<Option<GaugeId>> = tenants
+        .iter()
+        .map(|t| {
+            t.class.p99_budget().map(|_| rec.gauge_id(&format!("tenant.{}.violations", t.name)))
+        })
+        .collect();
     let mut seen_buckets: BTreeSet<usize> = BTreeSet::new();
     let mut cache_lookups = 0u64;
     let mut cache_hits = 0u64;
     let mut busy = 0.0f64;
+    // SLO accounting: fairness credits plus per-tenant tallies. Each
+    // component is tallied independently (completions at batch done,
+    // sheds at the shed sites, rejections above) so the balance check is
+    // a real invariant.
+    let mut credits = vec![0.0f64; nlanes];
+    let mut completed = vec![0u64; nt];
+    let mut images_by = vec![0u64; nt];
+    let mut violations = vec![0u64; nt];
+    let mut early = 0u64;
+    let mut preempts = 0u64;
+    // Cached per-lane arbitration keys: a lane recomputes its tentative
+    // launch only when its own `(next, emax)` fingerprint changed or the
+    // device clock moved past its oldest pending arrival (see
+    // [`LaneKey`]). Commits touch one lane; the others' keys survive.
+    let mut lane_keys: Vec<Option<LaneKey>> = (0..nlanes).map(|_| None).collect();
 
-    while next < requests.len() {
-        // Deadline-based load shedding: when the device frees up, drop
-        // head-of-line requests that have already waited past the shed
-        // deadline — serving them would only make everyone later.
+    loop {
+        // Deadline-based load shedding, per lane at the device clock:
+        // when the device frees up, drop head-of-line requests that have
+        // already waited past the shed deadline — serving them would only
+        // make everyone later.
         if let Some(deadline) = pol.shed_deadline {
-            while next < requests.len() && gpu_free - requests[next].arrival > deadline {
-                let r = &requests[next];
-                fault_span(gpu_free, 0.0, || {
-                    (format!("shed request {}", r.id), vec![("reason".into(), "deadline".into())])
-                });
-                shed_requests += 1;
-                next += 1;
-                rec.gauge("shed.total", gpu_free, shed_requests as f64);
-            }
-            if next >= requests.len() {
-                break;
+            for (t, lane) in lanes.iter_mut().enumerate() {
+                while lane.has_pending() && gpu_free - lane.queue[lane.next].arrival > deadline {
+                    let r = &lane.queue[lane.next];
+                    fault_span(gpu_free, 0.0, || {
+                        let mut args = vec![(
+                            trace::intern("reason").into(),
+                            trace::intern("deadline").into(),
+                        )];
+                        if let Some(spec) = tenants.get(t) {
+                            args.push((
+                                trace::intern("tenant").into(),
+                                trace::intern(&spec.name).into(),
+                            ));
+                        }
+                        (format!("shed request {}", r.id), args)
+                    });
+                    shed_requests += 1;
+                    shed_by[t] += 1;
+                    lane.next += 1;
+                    rec.gauge_at(id_shed_total, gpu_free, shed_requests as f64);
+                }
             }
         }
 
         let emax = plan_cap.min(pin.unwrap_or(plan_cap)).max(1);
-        let oldest = requests[next].arrival;
-        let deadline = oldest + cfg.policy.max_queue_delay;
-        // The batch launches at max(gpu_free, min(T_full, T_deadline)):
-        // grow the admission window arrival by arrival until the batch is
-        // full or the oldest request's deadline stops the wait.
-        let mut launch = gpu_free.max(oldest);
-        loop {
-            let (j_after, _, full) = form(&requests, next, launch, emax);
-            if full || launch >= deadline {
-                break;
+        // Lane arbitration: earliest launch under each lane's own commit
+        // budget; exact launch ties break by fairness credit, then class
+        // rank, then lane order (deterministic keep-first). Launches come
+        // from the incrementally settled [`LaneKey`] cache; credits and
+        // ranks are read fresh (they are O(1) lookups and change on every
+        // settle).
+        let mut best: Option<(f64, usize)> = None;
+        for (t, lane) in lanes.iter().enumerate() {
+            if !lane.has_pending() {
+                continue;
             }
-            match requests.get(j_after) {
-                Some(r) if r.arrival <= deadline => launch = r.arrival,
+            let oldest = lane.queue[lane.next].arrival;
+            let launch = match &lane_keys[t] {
+                Some(k) if k.valid(lane.next, emax, gpu_free, oldest) => k.launch,
                 _ => {
-                    launch = deadline;
-                    break;
+                    let fresh = window_launch(&lane.queue, lane.next, gpu_free, emax, budgets[t]);
+                    lane_keys[t] = Some(LaneKey { next: lane.next, emax, gpu_free, launch: fresh });
+                    fresh
                 }
+            };
+            debug_assert_eq!(
+                launch.to_bits(),
+                window_launch(&lane.queue, lane.next, gpu_free, emax, budgets[t]).to_bits(),
+                "lane-key cache diverged from a fresh window_launch"
+            );
+            let take = match best {
+                None => true,
+                Some((bl, bt)) => {
+                    lane_beats((launch, credits[t], ranks[t]), (bl, credits[bt], ranks[bt]))
+                }
+            };
+            if take {
+                best = Some((launch, t));
             }
         }
-        let (j_end, images, _) = form(&requests, next, launch, emax);
-        debug_assert!(j_end > next, "a batch always serves at least one request");
+        let Some((launch, t)) = best else { break };
+        let (j_end, images, full) = form(&lanes[t].queue, lanes[t].next, launch, emax);
+        debug_assert!(j_end > lanes[t].next, "a committed batch serves at least one request");
         let bucket = bucket_for(images, emax);
+        // Early commit: the class budget (tighter than the policy delay)
+        // fired before the batch filled — the deadline-aware rule
+        // launched a part-full batch to protect the budget. Computed
+        // here, applied only if the plan resolves below, so a plan-OOM
+        // re-selection is not double-counted.
+        let early_hit = !full
+            && budgets[t] < delay
+            && launch == lanes[t].queue[lanes[t].next].arrival + budgets[t];
+        // Preemption: this lane won the slot from a lane whose tentative
+        // batch would have launched later with more images — the
+        // large-bucket launch the deadline rule displaced.
+        let mut preempt_hit = false;
+        for (u, other) in lanes.iter().enumerate() {
+            if u != t && lane_preempts(other, budgets[u], gpu_free, emax, launch, images) {
+                preempt_hit = true;
+                break;
+            }
+        }
         cache_lookups += 1;
         if !seen_buckets.insert(bucket) {
             cache_hits += 1;
@@ -553,7 +709,10 @@ pub fn serve(
                 fault_span(launch, 0.0, || {
                     (
                         format!("plan OOM at bucket {bucket}"),
-                        vec![("new_cap".into(), (bucket / 2).to_string().into())],
+                        vec![(
+                            trace::intern("new_cap").into(),
+                            trace::intern(&(bucket / 2).to_string()).into(),
+                        )],
                     )
                 });
                 plan_cap = (bucket / 2).max(1);
@@ -562,6 +721,12 @@ pub fn serve(
             Err(err) => return Err(err),
         };
         let service = plan.total_time();
+        if early_hit {
+            early += 1;
+        }
+        if preempt_hit {
+            preempts += 1;
+        }
 
         // Launch-attempt loop: retry transients with backoff, downshift on
         // OOM, shed at exhaustion. Each attempt consumes one launch index.
@@ -579,35 +744,71 @@ pub fn serve(
 
         match outcome {
             Outcome::Done { done } => {
-                for r in &requests[next..j_end] {
-                    latencies[r.id as usize] = done - r.arrival;
-                    rec.observe_latency(done - r.arrival);
-                }
-                // Queue pressure left behind: arrived by launch, not taken.
-                let mut depth = 0usize;
-                let mut k = j_end;
-                while k < requests.len() && requests[k].arrival <= launch {
-                    depth += 1;
-                    k += 1;
-                }
+                let reqs = j_end - lanes[t].next;
                 {
-                    let (idx, reqs) = (batches.len(), j_end - next);
-                    trace::record_span(|| trace::SpanEvent {
-                        name: format!("batch {idx} (N={bucket})"),
-                        track: trace::Track::Serve,
-                        ts_us: launch * 1e6,
-                        dur_us: service * 1e6,
-                        args: vec![
-                            ("requests".into(), reqs.to_string().into()),
-                            ("images".into(), images.to_string().into()),
-                            ("bucket".into(), bucket.to_string().into()),
-                        ],
+                    let lane = &mut lanes[t];
+                    for r in &lane.queue[lane.next..j_end] {
+                        let latency = done - r.arrival;
+                        latencies[r.id as usize] = latency;
+                        rec.observe_latency(latency);
+                        if slo {
+                            rec.observe_latency_keyed_at(tenant_keys[t], latency);
+                            completed[t] += 1;
+                            images_by[t] += r.images as u64;
+                            if p99s[t].is_some_and(|b| latency > b) {
+                                violations[t] += 1;
+                            }
+                        }
+                    }
+                    lane.next = j_end;
+                }
+                // Queue pressure left behind: requests arrived by launch,
+                // not taken, across every lane. Lanes hold their requests
+                // in arrival order, so each lane's count is a binary
+                // search instead of a walk over the rest of the stream.
+                let depth: usize = lanes
+                    .iter()
+                    .map(|l| {
+                        let arrived = l.pending().partition_point(|r| r.arrival <= launch);
+                        debug_assert_eq!(
+                            arrived,
+                            l.pending().iter().filter(|r| r.arrival <= launch).count(),
+                            "lane queue out of arrival order"
+                        );
+                        arrived
+                    })
+                    .sum();
+                {
+                    let idx = batches.len();
+                    trace::record_span(|| {
+                        let mut args = Vec::with_capacity(4);
+                        if let Some(spec) = tenants.get(t) {
+                            args.push((
+                                trace::intern("tenant").into(),
+                                trace::intern(&spec.name).into(),
+                            ));
+                        }
+                        for (key, value) in
+                            [("requests", reqs), ("images", images), ("bucket", bucket)]
+                        {
+                            args.push((
+                                trace::intern(key).into(),
+                                trace::intern(&value.to_string()).into(),
+                            ));
+                        }
+                        trace::SpanEvent {
+                            name: format!("batch {idx} (N={bucket})"),
+                            track: trace::Track::Serve,
+                            ts_us: launch * 1e6,
+                            dur_us: service * 1e6,
+                            args,
+                        }
                     });
                 }
                 batches.push(BatchRecord {
                     launch,
                     done,
-                    requests: j_end - next,
+                    requests: reqs,
                     images,
                     bucket,
                     queue_depth: depth,
@@ -625,7 +826,10 @@ pub fn serve(
                             fault_span(done, 0.0, || {
                                 (
                                     "leave degraded mode".to_string(),
-                                    vec![("clean_batches".into(), clean_streak.to_string().into())],
+                                    vec![(
+                                        trace::intern("clean_batches").into(),
+                                        trace::intern(&clean_streak.to_string()).into(),
+                                    )],
                                 )
                             });
                             pin = None;
@@ -636,26 +840,42 @@ pub fn serve(
                     }
                 }
                 busy += done - launch;
-                rec.gauge("queue.depth", done, depth as f64);
-                rec.gauge("batch.images", done, images as f64);
-                rec.gauge("batch.bucket", done, bucket as f64);
-                rec.gauge("util", done, if done > 0.0 { busy / done } else { 0.0 });
-                rec.gauge("plan_cache.hit_rate", done, cache_hits as f64 / cache_lookups as f64);
-                rec.gauge("degraded", done, if pin.is_some() { 1.0 } else { 0.0 });
-                rec.gauge("shed.total", done, shed_requests as f64);
+                rec.gauge_at(id_queue_depth, done, depth as f64);
+                rec.gauge_at(id_batch_images, done, images as f64);
+                rec.gauge_at(id_batch_bucket, done, bucket as f64);
+                rec.gauge_at(id_util, done, if done > 0.0 { busy / done } else { 0.0 });
+                rec.gauge_at(id_hit_rate, done, cache_hits as f64 / cache_lookups as f64);
+                rec.gauge_at(id_degraded, done, if pin.is_some() { 1.0 } else { 0.0 });
+                rec.gauge_at(id_shed_total, done, shed_requests as f64);
+                if slo {
+                    rec.gauge_at(id_violations, done, violations.iter().sum::<u64>() as f64);
+                    for (u, id) in tenant_violation_ids.iter().enumerate() {
+                        if let Some(id) = *id {
+                            rec.gauge_at(id, done, violations[u] as f64);
+                        }
+                    }
+                }
                 rec.sample_window(done);
                 gpu_free = done;
-                next = j_end;
+                if slo {
+                    settle_credits(&mut credits, tenants, |u| lanes[u].has_pending(), t, images);
+                }
             }
             Outcome::Shed { at } => {
                 // The batch's requests are dropped; their latencies keep
                 // the 0.0 sentinel. The device time burned is real.
-                shed_requests += j_end - next;
+                let lane = &mut lanes[t];
+                let batch_shed = j_end - lane.next;
+                shed_requests += batch_shed;
+                shed_by[t] += batch_shed as u64;
+                lane.next = j_end;
                 busy += at - launch;
-                rec.gauge("shed.total", at, shed_requests as f64);
-                rec.gauge("util", at, if at > 0.0 { busy / at } else { 0.0 });
+                rec.gauge_at(id_shed_total, at, shed_requests as f64);
+                rec.gauge_at(id_util, at, if at > 0.0 { busy / at } else { 0.0 });
                 gpu_free = at;
-                next = j_end;
+                if slo {
+                    settle_credits(&mut credits, tenants, |u| lanes[u].has_pending(), t, images);
+                }
             }
             Outcome::Downshift { at } => {
                 // Pin the halved bucket and re-form the same requests at
@@ -667,7 +887,7 @@ pub fn serve(
                 pin = Some((bucket / 2).max(1));
                 clean_streak = 0;
                 busy += at - launch;
-                rec.gauge("degraded", at, 1.0);
+                rec.gauge_at(id_degraded, at, 1.0);
                 gpu_free = at;
             }
         }
@@ -699,6 +919,29 @@ pub fn serve(
         });
     }
 
+    let slo = slo.then(|| {
+        let in_flight: Vec<u64> = lanes.iter().map(|l| l.pending().len() as u64).collect();
+        slo_report(
+            tenants,
+            &latencies,
+            &tags,
+            &admitted,
+            &rejected,
+            &completed,
+            &shed_by,
+            &in_flight,
+            &images_by,
+            &violations,
+            early,
+            preempts,
+            // No device lifecycle on the single-device path: nothing fails
+            // over, and `busy` is the one device's occupied seconds.
+            &vec![0u64; nt],
+            &vec![0u64; nt],
+            busy,
+        )
+    });
+
     let timeline = rec.finish();
     // Mirror the timeline onto the Perfetto counter tracks (a no-op when
     // tracing is inactive).
@@ -707,7 +950,7 @@ pub fn serve(
     Ok(ServeReport {
         network: net.name.clone(),
         config: cfg.clone(),
-        requests: requests.len(),
+        requests: n_requests,
         images: batches.iter().map(|b| b.images).sum(),
         makespan: gpu_free,
         latencies,
@@ -716,7 +959,7 @@ pub fn serve(
         shed_requests,
         faults: stats,
         timeline,
-        slo: None,
+        slo,
     })
 }
 
@@ -880,5 +1123,122 @@ mod tests {
         // Everything served, just slower.
         assert!(throttled.makespan > clean.makespan);
         assert!(throttled.latency().mean > clean.latency().mean);
+    }
+
+    fn mix() -> Vec<TenantSpec> {
+        vec![
+            TenantSpec::interactive("chat", 0.02, 1.0),
+            TenantSpec::standard("web", 1.0),
+            TenantSpec::best_effort("batch", 1.0),
+        ]
+    }
+
+    #[test]
+    fn tenant_run_serves_everything_with_balanced_accounting() {
+        let engine = tiny_engine();
+        let net = tiny_net();
+        let cfg = ServeConfig::new(
+            WorkloadConfig {
+                phases: vec![Phase { arrival: Arrival::Poisson { rate: 400.0 }, duration: 0.2 }],
+                images_min: 1,
+                images_max: 4,
+                seed: 5,
+            },
+            BatchPolicy::new(32, 0.005),
+        )
+        .with_tenants(mix());
+        let report = serve(&engine, &net, &cfg).unwrap();
+        assert!(report.requests > 0);
+        assert!(report.latencies.iter().all(|&l| l > 0.0));
+        let slo = report.slo.as_ref().unwrap();
+        assert!(slo.balanced());
+        assert_eq!(slo.tenants.len(), 3);
+        assert_eq!(slo.rejected, 0);
+        assert_eq!(slo.tenants.iter().map(|t| t.admitted).sum::<u64>(), report.requests as u64);
+        assert_eq!(slo.tenants.iter().map(|t| t.completed).sum::<u64>(), report.requests as u64);
+        // Keyed histograms landed per tenant, and every tenant served.
+        for t in &slo.tenants {
+            assert!(t.completed > 0, "tenant {} starved", t.name);
+            assert_eq!(report.timeline.keyed_hist(&t.name).map(|h| h.count()), Some(t.completed));
+        }
+        // Fairness is finite when nobody starved.
+        assert!(slo.fairness.ratio >= 1.0);
+        // Replays bit-identically.
+        let again = serve(&engine, &net, &cfg).unwrap();
+        let bits =
+            |r: &ServeReport| -> Vec<u64> { r.latencies.iter().map(|l| l.to_bits()).collect() };
+        assert_eq!(bits(&report), bits(&again));
+    }
+
+    #[test]
+    fn rate_limited_tenant_rejects_and_stays_balanced() {
+        let engine = tiny_engine();
+        let net = tiny_net();
+        let tenants = vec![
+            TenantSpec::interactive("chat", 0.02, 1.0),
+            TenantSpec::best_effort("batch", 1.0).with_rate_limit(20.0),
+        ];
+        let cfg = ServeConfig::new(
+            WorkloadConfig {
+                phases: vec![Phase { arrival: Arrival::Poisson { rate: 800.0 }, duration: 0.2 }],
+                images_min: 1,
+                images_max: 4,
+                seed: 7,
+            },
+            BatchPolicy::new(32, 0.005),
+        )
+        .with_tenants(tenants);
+        let report = serve(&engine, &net, &cfg).unwrap();
+        let slo = report.slo.as_ref().unwrap();
+        assert!(slo.balanced());
+        assert!(slo.rejected > 0, "the 20 req/s cap must reject under ~400 req/s of traffic");
+        let capped = &slo.tenants[1];
+        assert!(capped.rejected > 0 && capped.completed > 0);
+        // Rejected requests keep the 0.0 sentinel and are excluded from
+        // the latency summary.
+        assert_eq!(
+            report.latency().count as u64,
+            slo.tenants.iter().map(|t| t.completed).sum::<u64>()
+        );
+        assert_eq!(
+            report.latencies.iter().filter(|&&l| l == 0.0).count() as u64,
+            slo.rejected,
+            "only rejected requests may hold the sentinel in a shed-free run"
+        );
+    }
+
+    #[test]
+    fn interactive_budget_commits_earlier_than_class_blind() {
+        // A tight interactive budget must cut that tenant's p99 below
+        // the class-blind run's, and the early-commit counter must see
+        // the deadline rule fire.
+        let engine = tiny_engine();
+        let net = tiny_net();
+        let wl = WorkloadConfig {
+            phases: vec![Phase { arrival: Arrival::Poisson { rate: 300.0 }, duration: 0.3 }],
+            images_min: 1,
+            images_max: 4,
+            seed: 11,
+        };
+        let policy = BatchPolicy::new(64, 0.02);
+        let tenants = vec![
+            TenantSpec::interactive("chat", 0.008, 1.0),
+            TenantSpec::best_effort("batch", 1.0),
+        ];
+        let aware = serve(
+            &engine,
+            &net,
+            &ServeConfig::new(wl.clone(), policy).with_tenants(tenants.clone()),
+        )
+        .unwrap();
+        let blind = serve(&engine, &net, &ServeConfig::new(wl, policy)).unwrap();
+        let slo = aware.slo.as_ref().unwrap();
+        assert!(slo.early_commits > 0, "the 4 ms interactive budget must fire early commits");
+        let chat_p99 = slo.tenants[0].latency.p99;
+        assert!(
+            chat_p99 < blind.latency().p99,
+            "interactive p99 {chat_p99} must beat class-blind {}",
+            blind.latency().p99
+        );
     }
 }

@@ -7,9 +7,8 @@
 //! request to a tenant with a splitmix64 hash of `(seed, request id)` and
 //! a cumulative-weight pick — a pure function that touches no RNG state —
 //! so the *arrivals* of a tenant-enabled run are bit-identical to the
-//! tenant-free stream, and the class-blind oracle
-//! (`MEMCNN_SLO_DISABLE=1`) is an exact equivalence, not an
-//! approximation.
+//! tenant-free stream, and the same config with its tenants cleared is
+//! an exact class-blind baseline, not an approximation.
 //!
 //! Accounting follows the `FaultStats` discipline: every attributed
 //! request ends in exactly one of `completed`, `shed`, `rejected`, or

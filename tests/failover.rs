@@ -1,14 +1,13 @@
 //! Device-failure integration tests: bit-identical failover replay
-//! across thread counts and across the sequential/parallel fleet
-//! paths, the zero-rate no-op equivalence, the extended accounting
-//! balance invariant (`admitted == completed + shed + rejected +
-//! in_flight + failed_over_in_transit`), total-fleet-loss survival,
-//! and the `MEMCNN_HEALTH_DISABLE` oracle.
+//! across thread counts, the zero-rate no-op equivalence, the extended
+//! accounting balance invariant (`admitted == completed + shed +
+//! rejected + in_flight + failed_over_in_transit`), total-fleet-loss
+//! survival, and the `MEMCNN_HEALTH_DISABLE` oracle. The whole failover
+//! report is pinned against recorded bytes by `tests/golden.rs`.
 //!
 //! Like `tests/fleet.rs`, this binary reads process-global state (the
 //! perf registry, the once-locked `MEMCNN_THREADS`, and the per-call
-//! `MEMCNN_HEALTH_DISABLE` / `MEMCNN_FLEET_SEQUENTIAL` knobs), so
-//! everything lives in ONE `#[test]`.
+//! `MEMCNN_HEALTH_DISABLE` knob), so everything lives in ONE `#[test]`.
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, DeviceFaultPlan};
@@ -64,7 +63,6 @@ fn assert_same_schedule(a: &FleetReport, b: &FleetReport, what: &str) {
 fn device_failover_is_deterministic_balanced_and_lossless() {
     // Must precede every engine call in this process (once-locked).
     std::env::set_var("MEMCNN_THREADS", "4");
-    std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
     std::env::remove_var("MEMCNN_HEALTH_DISABLE");
 
     let net = NetworkBuilder::new("failover-net", Shape::new(1, 64, 8, 8))
@@ -109,19 +107,7 @@ fn device_failover_is_deterministic_balanced_and_lossless() {
         assert_eq!(base, rerun, "failover run diverged after re-setting MEMCNN_THREADS={threads}");
     }
 
-    // (2) Sequential-vs-parallel byte-identity holds WITH device
-    // faults: the legacy loop must reproduce the whole report —
-    // including the health block — byte for byte.
-    std::env::set_var("MEMCNN_FLEET_SEQUENTIAL", "1");
-    let seq = serve_fleet(&engines, nets, &cfg).unwrap();
-    std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
-    assert_eq!(
-        serde_json::to_string(&report).unwrap(),
-        serde_json::to_string(&seq).unwrap(),
-        "sequential and parallel failover reports must be byte-identical"
-    );
-
-    // (3) The fault plan actually fired and the fleet recovered: every
+    // (2) The fault plan actually fired and the fleet recovered: every
     // down device healed, failed-over work was re-placed, and the
     // per-device counts add up to the fleet total.
     let health = report.health.as_ref().unwrap();
@@ -141,7 +127,7 @@ fn device_failover_is_deterministic_balanced_and_lossless() {
     );
     assert!(health.warm_compiles > 0, "healing resets warm plan caches cold");
 
-    // (4) Extended balance: per tenant and in aggregate, with the
+    // (3) Extended balance: per tenant and in aggregate, with the
     // transit residual zero on a drained run — nothing is lost
     // silently. The 0.0-latency sentinels are exactly the rejected
     // plus shed requests.
@@ -163,7 +149,7 @@ fn device_failover_is_deterministic_balanced_and_lossless() {
     assert!(slo.device_seconds > 0.0, "busy devices must accrue device-seconds");
     assert!(slo.cost().is_finite() && slo.cost() >= 0.0, "slo.cost must be finite");
 
-    // (5) A zero-rate, unscheduled plan is a byte-identical no-op: the
+    // (4) A zero-rate, unscheduled plan is a byte-identical no-op: the
     // run must replay the plan-free schedule field for field (only the
     // config echo differs) and must not fabricate a health report.
     let plain_cfg =
@@ -178,7 +164,7 @@ fn device_failover_is_deterministic_balanced_and_lossless() {
         assert!(!plain_json.contains(key), "default-config report leaked new key {key}");
     }
 
-    // (6) MEMCNN_HEALTH_DISABLE=1 is the no-op oracle for a *live*
+    // (5) MEMCNN_HEALTH_DISABLE=1 is the no-op oracle for a *live*
     // plan: with the knob set, the fault-carrying config must replay
     // the plan-free schedule too.
     std::env::set_var("MEMCNN_HEALTH_DISABLE", "1");
@@ -187,7 +173,7 @@ fn device_failover_is_deterministic_balanced_and_lossless() {
     assert!(disabled.health.is_none(), "a disabled run must not fabricate a health report");
     assert_same_schedule(&plain, &disabled, "MEMCNN_HEALTH_DISABLE oracle");
 
-    // (7) Crash K-1 devices at t = 0: the survivor carries the whole
+    // (6) Crash K-1 devices at t = 0: the survivor carries the whole
     // stream (with the deadline ladder shedding what it must) and the
     // run still returns Ok with the books balanced.
     let apocalypse = DeviceFaultPlan::new(11, 0.0, 0.0, 0.0)

@@ -1,14 +1,13 @@
 //! Multi-tenant SLO integration tests: bit-identical per-tenant
-//! scheduling across thread counts and across the sequential/parallel
-//! fleet paths, the per-tenant accounting balance invariant, exact
-//! zero-tenant byte-identity with the pre-tenant report wire format,
-//! the `MEMCNN_SLO_DISABLE` class-blind equivalence oracle, and the
-//! weighted-fair bound on best-effort starvation.
+//! scheduling across thread counts, the per-tenant accounting balance
+//! invariant, exact zero-tenant byte-identity with the pre-tenant report
+//! wire format, and the weighted-fair bound on best-effort starvation.
+//! Whole reports, tenant and class-blind, are pinned against recorded
+//! bytes by `tests/golden.rs`.
 //!
 //! Like `tests/fleet.rs`, this binary reads process-global state (the
-//! perf registry, the once-locked `MEMCNN_THREADS`, and the per-call
-//! `MEMCNN_SLO_DISABLE` / `MEMCNN_FLEET_SEQUENTIAL` knobs), so
-//! everything lives in ONE `#[test]`.
+//! perf registry and the once-locked `MEMCNN_THREADS`), so everything
+//! lives in ONE `#[test]`.
 
 use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, NetworkBuilder};
 use memcnn::gpusim::DeviceConfig;
@@ -57,8 +56,6 @@ fn black() -> Engine {
 fn slo_scheduling_is_deterministic_balanced_and_fair() {
     // Must precede every engine call in this process (once-locked).
     std::env::set_var("MEMCNN_THREADS", "4");
-    std::env::remove_var("MEMCNN_SLO_DISABLE");
-    std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
 
     let net = NetworkBuilder::new("slo-net", Shape::new(1, 64, 8, 8))
         .conv("CV1", 64, 3, 1, 1)
@@ -145,37 +142,16 @@ fn slo_scheduling_is_deterministic_balanced_and_fair() {
         "0.0 latency sentinels are the rejected plus shed requests"
     );
 
-    // (4) Sequential-vs-parallel byte-identity holds WITH tenants: the
-    // legacy loop must reproduce the whole report — including the slo
-    // block and the per-tenant keyed histograms — byte for byte.
-    std::env::set_var("MEMCNN_FLEET_SEQUENTIAL", "1");
-    let seq = serve_fleet(&engines, std::slice::from_ref(&net), &cfg).unwrap();
-    std::env::remove_var("MEMCNN_FLEET_SEQUENTIAL");
-    assert_eq!(
-        serde_json::to_string(&report).unwrap(),
-        serde_json::to_string(&seq).unwrap(),
-        "sequential and parallel SLO reports must be byte-identical"
-    );
-
-    // (5) MEMCNN_SLO_DISABLE=1 is the class-blind equivalence oracle:
-    // with the knob set, a tenant-carrying config must replay the
-    // no-tenant schedule bit for bit (only the config echo differs).
+    // (4) A tenant-free clone of the config is the class-blind schedule
+    // of the same stream; its report is pinned against recorded bytes by
+    // `tests/golden.rs` (`fleet_tenants_cleared`), the tenant run's by
+    // `fleet_tenants`.
     let blind_cfg = FleetConfig::new(wl.clone(), policy, Placement::LeastLoaded);
     let blind = serve_fleet(&engines, std::slice::from_ref(&net), &blind_cfg).unwrap();
-    std::env::set_var("MEMCNN_SLO_DISABLE", "1");
-    let disabled = serve_fleet(&engines, std::slice::from_ref(&net), &cfg).unwrap();
-    std::env::remove_var("MEMCNN_SLO_DISABLE");
-    assert!(disabled.slo.is_none(), "a disabled run must not fabricate an SLO report");
+    assert!(blind.slo.is_none(), "a class-blind run must not fabricate an SLO report");
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-    assert_eq!(bits(&blind.latencies), bits(&disabled.latencies), "oracle latencies diverged");
-    assert_eq!(blind.placements, disabled.placements, "oracle placements diverged");
-    assert_eq!(
-        serde_json::to_string(&blind.timeline).unwrap(),
-        serde_json::to_string(&disabled.timeline).unwrap(),
-        "oracle timelines diverged"
-    );
 
-    // (6) Zero-tenant byte-identity with the pre-tenant wire format:
+    // (5) Zero-tenant byte-identity with the pre-tenant wire format:
     // the default config emits none of the new keys, so its JSON is
     // exactly what the previous revision serialized.
     let plain_json = serde_json::to_string(&blind).unwrap();
@@ -188,7 +164,7 @@ fn slo_scheduling_is_deterministic_balanced_and_fair() {
         assert!(!s_json.contains(key), "default-config serve report leaked new key {key}");
     }
 
-    // (7) Single-device tenant path agrees with a K = 1 fleet, field
+    // (6) Single-device tenant path agrees with a K = 1 fleet, field
     // for field on the per-tenant books (the same lanes arithmetic runs
     // under both drivers).
     std::env::set_var("MEMCNN_THREADS", "4");
