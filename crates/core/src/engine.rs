@@ -569,17 +569,7 @@ impl Engine {
                         layer: l.name.clone(),
                         layout: chosen.name(),
                         policy: "heuristic".to_string(),
-                        reason: if chosen == Layout::CHWN {
-                            format!(
-                                "C={} < Ct={} or N={} >= Nt={}",
-                                shape.ci, th.ct, shape.n, th.nt
-                            )
-                        } else {
-                            format!(
-                                "C={} >= Ct={} and N={} < Nt={}",
-                                shape.ci, th.ct, shape.n, th.nt
-                            )
-                        },
+                        reason: heuristic_reason(shape.ci, shape.n, th),
                     });
                     chosen
                 }
@@ -1066,6 +1056,20 @@ impl Engine {
     }
 }
 
+/// The clause of the layout heuristic that fired for a conv layer with
+/// `c` input channels at batch `n`: CHWN names `C < Ct`, `N >= Nt`, or
+/// both; NCHW names the conjunction that kept it.
+fn heuristic_reason(c: usize, n: usize, th: &LayoutThresholds) -> String {
+    let few_channels = c < th.ct;
+    let big_batch = n >= th.nt;
+    match (few_channels, big_batch) {
+        (true, true) => format!("C={c} < Ct={} and N={n} >= Nt={}", th.ct, th.nt),
+        (true, false) => format!("C={c} < Ct={}", th.ct),
+        (false, true) => format!("N={n} >= Nt={}", th.nt),
+        (false, false) => format!("C={c} >= Ct={} and N={n} < Nt={}", th.ct, th.nt),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1119,6 +1123,37 @@ mod tests {
             let r = e.simulate_network(&net, m).unwrap();
             assert_eq!(r.transform_count(), 0, "{m}");
         }
+    }
+
+    #[test]
+    fn decision_log_names_the_clause_that_fired() {
+        // Titan Black: (Ct, Nt) = (32, 128). At N=64 a C=3 conv is CHWN
+        // by its channels alone and a C=64 conv stays NCHW; at N=128 the
+        // C=3 conv fires both clauses and the C=64 one only the batch.
+        let e = engine();
+        let mut reasons = Vec::new();
+        for n in [64, 128] {
+            let net = NetworkBuilder::new("clauses", Shape::new(n, 3, 8, 8))
+                .conv("CV1", 64, 3, 1, 1)
+                .conv("CV2", 64, 3, 1, 1)
+                .build()
+                .unwrap();
+            trace::start();
+            e.opt_layouts(&net).unwrap();
+            let captured = trace::finish().unwrap();
+            for d in captured.decisions.iter().filter(|d| d.policy == "heuristic") {
+                reasons.push(format!("{} {} {}", d.layer, d.layout, d.reason));
+            }
+        }
+        assert_eq!(
+            reasons,
+            vec![
+                "CV1 CHWN C=3 < Ct=32",
+                "CV2 NCHW C=64 >= Ct=32 and N=64 < Nt=128",
+                "CV1 CHWN C=3 < Ct=32 and N=128 >= Nt=128",
+                "CV2 CHWN N=128 >= Nt=128",
+            ]
+        );
     }
 
     #[test]

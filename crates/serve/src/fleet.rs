@@ -10,8 +10,10 @@
 //!   *different* layout plans on a Titan-Black-class and a
 //!   Titan-X-class device — their `(Ct, Nt)` thresholds differ — so
 //!   plan caches are per-(device, network, bucket).
-//! - **Placement** ([`PlacementPolicy`]): every arrival routes through
-//!   a pluggable, deterministic policy with a per-device load snapshot.
+//! - **Placement** ([`PlacementPolicy`](crate::placement::PlacementPolicy)):
+//!   every arrival routes through a deterministic policy: QueueWeighted
+//!   answered by an incrementally maintained placement index in
+//!   O(log K), the others by a per-device load snapshot.
 //! - **Adaptive batching** ([`AdaptivePolicy`]): at workload phase
 //!   boundaries the fleet re-derives `max_queue_delay` from the
 //!   observed inter-arrival EMA (bounded, seeded — still bit-exact).
@@ -38,7 +40,9 @@ use crate::batch::{bucket_for, buckets, BatchPolicy};
 use crate::capacity::feasible_max_batch;
 use crate::health::{DeviceHealth, HealthReport, HealthRun, HealthState};
 use crate::metrics::{latency_stats_served, LatencyStats};
-use crate::placement::{DeviceLoad, Placement, PlacementCtx, PlacementPolicy};
+use crate::placement::{
+    DeviceLoad, PlaceKey, Placement, PlacementCtx, PlacementIndex, PlacementPolicy,
+};
 use crate::plan_cache::PlanCache;
 use crate::policy::{FaultPolicy, FaultStats};
 use crate::route_index::RouteIndex;
@@ -398,30 +402,42 @@ struct DeviceState {
     /// `true` while the device is `Down`: it commits nothing, and
     /// placement only reaches it through the all-down fallback.
     blocked: bool,
-    /// Pending (routed, unserved, unshed) requests across every pair and
-    /// lane on this device — maintained incrementally at each queue
-    /// mutation so a placement load snapshot is O(1) instead of a walk
-    /// over every pair's pending slice. Always equals
-    /// `Σ pairs[d][*].pending_requests()` (debug-asserted in `load_of`).
-    queued_requests: usize,
-    /// Pending images across the device (companion to
-    /// `queued_requests`; raw request sizes, not bucket-clamped).
-    queued_images: usize,
 }
 
-impl DeviceState {
-    /// Account `count` pending requests totalling `images` leaving the
-    /// device's queues (served, shed, or failed over).
-    fn drop_queued(&mut self, count: usize, images: usize) {
-        debug_assert!(self.queued_requests >= count && self.queued_images >= images);
-        self.queued_requests -= count;
-        self.queued_images -= images;
+/// Pending (routed, unserved, unshed) work per device across every pair
+/// and lane, plus the fleet-wide image total — maintained at each queue
+/// mutation (route push, overdue shed, commit take and shed, failover,
+/// transit requeue) so placement keys and the `queue.images` gauge are
+/// O(1) reads instead of walks over the lane queues. `requests[d]` and
+/// `images[d]` always equal the pending requests and images on device
+/// `d` (debug-asserted in `load_of` and `route_one`), and `total_images`
+/// their sum over the fleet. Images are raw request sizes, not
+/// bucket-clamped.
+struct QueueCounts {
+    requests: Vec<usize>,
+    images: Vec<usize>,
+    total_images: usize,
+}
+
+impl QueueCounts {
+    fn new(k: usize) -> QueueCounts {
+        QueueCounts { requests: vec![0; k], images: vec![0; k], total_images: 0 }
     }
 
-    /// Account one request routed onto the device.
-    fn push_queued(&mut self, images: usize) {
-        self.queued_requests += 1;
-        self.queued_images += images;
+    /// Account one request of `images` routed onto device `d`.
+    fn push(&mut self, d: usize, images: usize) {
+        self.requests[d] += 1;
+        self.images[d] += images;
+        self.total_images += images;
+    }
+
+    /// Account `count` pending requests totalling `images` leaving
+    /// device `d`'s queues (served, shed, or failed over).
+    fn drop(&mut self, d: usize, count: usize, images: usize) {
+        debug_assert!(self.requests[d] >= count && self.images[d] >= images);
+        self.requests[d] -= count;
+        self.images[d] -= images;
+        self.total_images -= images;
     }
 }
 
@@ -464,6 +480,7 @@ pub(crate) fn window_launch(
 fn shed_overdue(
     lane: &mut Lane,
     dev: &mut DeviceState,
+    queued: &mut QueueCounts,
     d: usize,
     t: usize,
     deadline: Option<f64>,
@@ -481,7 +498,7 @@ fn shed_overdue(
                 ],
             )
         });
-        dev.drop_queued(1, r.images);
+        queued.drop(d, 1, r.images);
         dev.shed += 1;
         dev.shed_by_tenant[t] += 1;
         lane.next += 1;
@@ -566,6 +583,7 @@ struct Globals {
     cache_lookups: u64,
     cache_hits: u64,
     fleet_shed: usize,
+    queued: QueueCounts,
     /// `Some` only on SLO runs; `None` keeps every branch below
     /// byte-identical to the pre-tenant accounting.
     slo: Option<GlobalsSlo>,
@@ -795,7 +813,7 @@ fn commit_pair(
                 }
                 let reqs = j_end - lane.next;
                 lane.next = j_end;
-                dev.drop_queued(reqs, taken_images);
+                g.queued.drop(d, reqs, taken_images);
                 reqs
             };
             // Queue pressure left on the device: routed requests of
@@ -891,7 +909,7 @@ fn commit_pair(
             dev.shed += batch_shed;
             dev.shed_by_tenant[t] += batch_shed as u64;
             lane.next = j_end;
-            dev.drop_queued(batch_shed, shed_images);
+            g.queued.drop(d, batch_shed, shed_images);
             dev.busy += at - launch;
             dev.gpu_free = at;
             let util = if at > 0.0 { dev.busy / at } else { 0.0 };
@@ -925,7 +943,7 @@ fn commit_pair(
     // the single-device loop's top-of-iteration overdue check.
     for pair in pairs_d.iter_mut() {
         for (t2, lane) in pair.lanes.iter_mut().enumerate() {
-            g.fleet_shed += shed_overdue(lane, dev, d, t2, ctx.pol.shed_deadline);
+            g.fleet_shed += shed_overdue(lane, dev, &mut g.queued, d, t2, ctx.pol.shed_deadline);
         }
     }
     COMMITS.incr();
@@ -964,6 +982,11 @@ struct FleetRun<'e, 'a> {
     pairs: Vec<Vec<PairState<'e>>>,
     devs: Vec<DeviceState>,
     placer: Box<dyn PlacementPolicy>,
+    /// `Some` only under [`Placement::QueueWeighted`] without
+    /// `MEMCNN_FLEET_LINEAR`: that policy's [`PlacementIndex`], marked
+    /// at the same sites as `index` plus the health transitions that
+    /// change only a device's rank.
+    qw_index: Option<PlacementIndex>,
     g: Globals,
     delay: DelayState,
     next_arrival: usize,
@@ -983,15 +1006,38 @@ struct FleetRun<'e, 'a> {
     /// routes, commits, sheds, health transitions, failovers, delay
     /// changes).
     index: RouteIndex,
-    /// `MEMCNN_FLEET_LINEAR=1`: bypass the index with the O(K) linear
-    /// `global_best` scan plus the pair-walking placement load snapshot.
-    /// The selections are identical by construction (the index's
-    /// comparator is the scan's total order); the knob is the baseline
-    /// of the fleet bench's indexed-vs-linear events/sec gate.
+    /// `MEMCNN_FLEET_LINEAR=1`: bypass all three indexes — the O(K)
+    /// linear `global_best` scan, the pair-walking placement snapshot
+    /// and its summed `queue.images` gauge, and the full
+    /// `batch_compile` scan. The selections are identical by
+    /// construction (each index orders by its scan's total order); the
+    /// knob is the baseline of the fleet bench's indexed-vs-linear
+    /// events/sec gate.
     linear: bool,
-    /// Recycled placement-snapshot buffer (`route_one` and
-    /// `requeue_transit` fill it per arrival instead of allocating).
+    /// Recycled placement-snapshot buffers (every device, and the
+    /// lowest-rank candidates), filled only on the snapshot path.
     loads_buf: Vec<DeviceLoad>,
+    cands_buf: Vec<DeviceLoad>,
+    /// Recycled list of the devices `batch_compile` visits.
+    compile_buf: Vec<usize>,
+}
+
+/// A device's placement rank, the leading key of every placement: the
+/// candidates are the devices of the lowest rank present. While routing,
+/// Healthy < Warming < Draining < Down, so the candidates are the
+/// `Healthy` devices, else the `Warming` ones, else the `Draining` ones,
+/// else the whole (all-`Down`) fleet. After the end-of-routing flush the
+/// only placements left re-place failed-over work onto any live device,
+/// so every non-`Down` state ranks 0.
+fn place_rank(h: Option<&HealthRun>, d: usize) -> u8 {
+    let Some(h) = h else { return 0 };
+    match (h.devs[d].state, h.flushed) {
+        (HealthState::Down, true) => 1,
+        (_, true) | (HealthState::Healthy, false) => 0,
+        (HealthState::Warming, false) => 1,
+        (HealthState::Draining, false) => 2,
+        (HealthState::Down, false) => 3,
+    }
 }
 
 impl<'e, 'a> FleetRun<'e, 'a> {
@@ -1126,39 +1172,63 @@ impl<'e, 'a> FleetRun<'e, 'a> {
             }
             lt = t;
         }
-        // Placement snapshot into the recycled buffer: one counter read
-        // per device instead of a fresh Vec walking every lane queue.
-        let mut loads = std::mem::take(&mut self.loads_buf);
-        loads.clear();
-        loads.extend((0..self.k).map(|d| self.load_of(d, n)));
-        let d = self.place_on(r.arrival, r.images, n, &loads);
+        let h = self.health.take();
+        let d = self.place(h.as_ref(), r.arrival, r.images, n);
+        self.health = h;
         self.g.placements[r.id as usize] = d as u32;
         self.pairs[d][n].lanes[lt].queue.push(r);
-        self.devs[d].push_queued(r.images);
+        self.g.queued.push(d, r.images);
         {
             let pair = &mut self.pairs[d][n];
             for (t2, lane) in pair.lanes.iter_mut().enumerate() {
-                self.g.fleet_shed +=
-                    shed_overdue(lane, &mut self.devs[d], d, t2, self.pol.shed_deadline);
+                self.g.fleet_shed += shed_overdue(
+                    lane,
+                    &mut self.devs[d],
+                    &mut self.g.queued,
+                    d,
+                    t2,
+                    self.pol.shed_deadline,
+                );
             }
         }
-        self.index.mark(d);
+        self.mark(d);
         // Queue-pressure gauges at the arrival: the routed device's
         // backlog (post-shed, via the maintained counter) plus the fleet
-        // total (other devices' loads are their pre-route snapshots,
-        // unchanged).
-        let dev_images = self.devs[d].queued_images;
+        // total — the running total, or on the linear path the sum of
+        // the other devices' snapshot loads (unchanged by this route).
+        let dev_images = self.g.queued.images[d];
         debug_assert_eq!(
             dev_images,
             self.pairs[d].iter().map(|p| p.pending_images()).sum::<usize>(),
             "queued-images counter diverged from the lane queues"
         );
-        let total_images: usize = dev_images
-            + loads.iter().filter(|l| l.device != d).map(|l| l.queued_images).sum::<usize>();
+        let total_images = if self.linear {
+            dev_images
+                + self
+                    .loads_buf
+                    .iter()
+                    .filter(|l| l.device != d)
+                    .map(|l| l.queued_images)
+                    .sum::<usize>()
+        } else {
+            self.g.queued.total_images
+        };
+        debug_assert_eq!(
+            total_images,
+            self.g.queued.images.iter().sum::<usize>(),
+            "fleet queued-images total diverged from the per-device counters"
+        );
         self.g.rec.gauge_at(self.g.ids.dev_queue_images[d], r.arrival, dev_images as f64);
         self.g.rec.gauge_at(self.g.ids.queue_images, r.arrival, total_images as f64);
-        self.loads_buf = loads;
         self.next_arrival += 1;
+    }
+
+    /// Mark device `d`'s routing and placement keys stale.
+    fn mark(&mut self, d: usize) {
+        self.index.mark(d);
+        if let Some(p) = self.qw_index.as_mut() {
+            p.mark(d);
+        }
     }
 
     /// Load snapshot of device `d` for network `n`'s placement call —
@@ -1174,7 +1244,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
             }
             (reqs, imgs)
         } else {
-            (self.devs[d].queued_requests, self.devs[d].queued_images)
+            (self.g.queued.requests[d], self.g.queued.images[d])
         };
         debug_assert_eq!(
             (queued_requests, queued_images),
@@ -1193,34 +1263,59 @@ impl<'e, 'a> FleetRun<'e, 'a> {
         }
     }
 
-    /// Place one arrival, honouring device health: candidates are the
-    /// `Healthy` devices, falling back to `Warming`, then `Draining`,
-    /// then the full fleet (everything `Down` — the request queues on a
-    /// dead device and the flush re-routes or sheds it). Health-free
-    /// runs pass the full load list straight through, which keeps the
-    /// policy's internal state evolution — hence every placement —
-    /// byte-identical to the pre-health fleet.
-    fn place_on(&mut self, now: f64, images: usize, n: usize, loads: &[DeviceLoad]) -> usize {
-        let eligible: Vec<DeviceLoad> = match &self.health {
-            None => Vec::new(),
-            Some(h) => {
-                let of = |s: HealthState| -> Vec<DeviceLoad> {
-                    loads.iter().filter(|l| h.devs[l.device].state == s).copied().collect()
-                };
-                let mut c = of(HealthState::Healthy);
-                if c.is_empty() {
-                    c = of(HealthState::Warming);
+    /// Place one request at `now`, honouring device health: the
+    /// candidates are the devices of the lowest [`place_rank`] present
+    /// (all of them on health-free runs). Under QueueWeighted the
+    /// [`PlacementIndex`] answers in O(log K); every other policy, and
+    /// `MEMCNN_FLEET_LINEAR=1`, scans a load snapshot of the candidates.
+    /// Debug builds re-run the snapshot scan after every indexed pick
+    /// and assert they agree.
+    fn place(&mut self, h: Option<&HealthRun>, now: f64, images: usize, n: usize) -> usize {
+        if let Some(p) = self.qw_index.as_mut() {
+            let (devs, queued) = (&self.devs, &self.g.queued);
+            p.refresh(now, |d| PlaceKey {
+                rank: place_rank(h, d),
+                images: queued.images[d],
+                gpu_free: devs[d].gpu_free,
+            });
+            if let Some(d) = p.pick() {
+                #[cfg(debug_assertions)]
+                {
+                    self.fill_snapshot(h, n);
+                    let want = self.placer.place(&PlacementCtx {
+                        now,
+                        images,
+                        network: n,
+                        max_batch: self.max,
+                        devices: &self.cands_buf,
+                    });
+                    assert_eq!(d, want, "placement index diverged from the linear policy");
                 }
-                if c.is_empty() {
-                    c = of(HealthState::Draining);
-                }
-                c
+                return d;
             }
-        };
-        let devices: &[DeviceLoad] = if eligible.is_empty() { loads } else { &eligible };
+        }
+        self.fill_snapshot(h, n);
         self.placer
-            .place(&PlacementCtx { now, images, network: n, max_batch: self.max, devices })
+            .place(&PlacementCtx {
+                now,
+                images,
+                network: n,
+                max_batch: self.max,
+                devices: &self.cands_buf,
+            })
             .min(self.k - 1)
+    }
+
+    /// Fill `loads_buf` with every device's load for network `n` and
+    /// `cands_buf` with the lowest-rank ones, in device order.
+    fn fill_snapshot(&mut self, h: Option<&HealthRun>, n: usize) {
+        let mut loads = std::mem::take(&mut self.loads_buf);
+        loads.clear();
+        loads.extend((0..self.k).map(|d| self.load_of(d, n)));
+        let lowest = (0..self.k).map(|d| place_rank(h, d)).min().unwrap_or(0);
+        self.cands_buf.clear();
+        self.cands_buf.extend(loads.iter().filter(|l| place_rank(h, l.device) == lowest));
+        self.loads_buf = loads;
     }
 
     /// The tenant lane a request routes to (lane 0 on class-blind runs).
@@ -1313,7 +1408,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                             }
                         }
                         self.devs[d].halt = h.devs[d].halt();
-                        self.index.mark(d);
+                        self.mark(d);
                         continue;
                     }
                     if h.devs[d].state == HealthState::Draining
@@ -1327,7 +1422,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                         h.devs[d].state = HealthState::Down;
                         self.devs[d].blocked = true;
                         h.downs += 1;
-                        self.index.mark(d);
+                        self.mark(d);
                         self.g.rec.gauge_at(
                             self.g.ids.dev_health[d],
                             now,
@@ -1342,7 +1437,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                         // Events landing on a dead device are spent.
                         h.devs[d].events.pop_front();
                         self.devs[d].halt = h.devs[d].halt();
-                        self.index.mark(d);
+                        self.mark(d);
                         continue;
                     }
                     if now >= h.devs[d].down_until {
@@ -1362,7 +1457,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                         }
                         self.devs[d].gpu_free = self.devs[d].gpu_free.max(warm_until);
                         self.devs[d].blocked = false;
-                        self.index.mark(d);
+                        self.mark(d);
                         self.g.rec.gauge_at(
                             self.g.ids.dev_health[d],
                             now,
@@ -1376,13 +1471,16 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                     if due.is_some() {
                         h.devs[d].events.pop_front();
                         self.devs[d].halt = h.devs[d].halt();
-                        self.index.mark(d);
+                        self.mark(d);
                         continue;
                     }
                     if now >= h.devs[d].warm_until {
-                        // Warming -> Healthy touches only the lifecycle
-                        // record, not the routing state — no index mark.
+                        // Warming -> Healthy changes only the placement
+                        // rank, not the routing state.
                         h.devs[d].state = HealthState::Healthy;
+                        if let Some(p) = self.qw_index.as_mut() {
+                            p.mark(d);
+                        }
                         h.ups += 1;
                         self.g.rec.gauge_at(
                             self.g.ids.dev_health[d],
@@ -1415,38 +1513,25 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                 }
             }
         }
-        self.devs[d].drop_queued(moved_reqs, moved_images);
-        self.index.mark(d);
+        self.g.queued.drop(d, moved_reqs, moved_images);
+        self.mark(d);
     }
 
-    /// Re-place transiting requests onto the candidate devices (their
-    /// [`DeviceLoad`] snapshots), preserving each request's original
-    /// arrival so the deadline/shed ladder still applies. Returns how
-    /// many it re-placed.
-    fn requeue_transit(&mut self, h: &mut HealthRun, now: f64, candidates: &[usize]) -> u64 {
+    /// Re-place transiting requests onto the lowest-rank devices (the
+    /// `Healthy` ones while routing, every live one after the flush),
+    /// preserving each request's original arrival so the deadline/shed
+    /// ladder still applies. Returns how many it re-placed.
+    fn requeue_transit(&mut self, h: &mut HealthRun, now: f64) -> u64 {
         let transit = std::mem::take(&mut h.transit);
         let mut requeued = 0u64;
         for r in transit {
             let n = (r.id as usize) % self.nn;
-            let mut loads = std::mem::take(&mut self.loads_buf);
-            loads.clear();
-            loads.extend(candidates.iter().map(|&d| self.load_of(d, n)));
-            let d = self
-                .placer
-                .place(&PlacementCtx {
-                    now,
-                    images: r.images,
-                    network: n,
-                    max_batch: self.max,
-                    devices: &loads,
-                })
-                .min(self.k - 1);
-            self.loads_buf = loads;
+            let d = self.place(Some(h), now, r.images, n);
             let t = self.lane_of(r.id);
             self.g.placements[r.id as usize] = d as u32;
             self.pairs[d][n].lanes[t].queue.push(r);
-            self.devs[d].push_queued(r.images);
-            self.index.mark(d);
+            self.g.queued.push(d, r.images);
+            self.mark(d);
             requeued += 1;
         }
         requeued
@@ -1454,15 +1539,10 @@ impl<'e, 'a> FleetRun<'e, 'a> {
 
     /// Re-place the transit buffer onto `Healthy` devices, if any.
     fn drain_transit(&mut self, h: &mut HealthRun, now: f64) {
-        if h.transit.is_empty() {
+        if h.transit.is_empty() || !h.devs.iter().any(|x| x.state == HealthState::Healthy) {
             return;
         }
-        let healthy: Vec<usize> =
-            (0..self.k).filter(|&d| h.devs[d].state == HealthState::Healthy).collect();
-        if healthy.is_empty() {
-            return;
-        }
-        h.requeued += self.requeue_transit(h, now, &healthy);
+        h.requeued += self.requeue_transit(h, now);
     }
 
     /// The routing-exhausted flush: once the last arrival has routed,
@@ -1491,18 +1571,20 @@ impl<'e, 'a> FleetRun<'e, 'a> {
             h.devs[d].events.clear();
             self.devs[d].halt = f64::INFINITY;
         }
-        // Halt horizons just moved fleet-wide (and the failover below
-        // may touch every device): one bulk invalidation.
+        // Halt horizons and placement ranks just moved fleet-wide (and
+        // the failover below may touch every device): one bulk
+        // invalidation.
         self.index.mark_all();
+        if let Some(p) = self.qw_index.as_mut() {
+            p.mark_all();
+        }
         for d in 0..self.k {
             if h.devs[d].state == HealthState::Down {
                 self.fail_over(&mut h, d);
             }
         }
         if !h.transit.is_empty() {
-            let alive: Vec<usize> =
-                (0..self.k).filter(|&d| h.devs[d].state != HealthState::Down).collect();
-            if alive.is_empty() {
+            if h.devs.iter().all(|x| x.state == HealthState::Down) {
                 // The whole fleet is dead: shed, keeping the 0.0
                 // latency sentinel and the last placement.
                 let transit = std::mem::take(&mut h.transit);
@@ -1521,12 +1603,14 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                     });
                 }
             } else {
-                h.requeued += self.requeue_transit(&mut h, now, &alive);
+                h.requeued += self.requeue_transit(&mut h, now);
                 // Un-block the re-placement targets' commit path: a
                 // Warming/Draining device serves out what the flush
                 // hands it.
-                for &d in &alive {
-                    self.devs[d].blocked = false;
+                for (dev, x) in self.devs.iter_mut().zip(&h.devs) {
+                    if x.state != HealthState::Down {
+                        dev.blocked = false;
+                    }
                 }
             }
         }
@@ -1561,7 +1645,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                 self.batch_compile(self.requests.get(self.next_arrival).map(|r| r.arrival));
             }
             commit_pair(&ctx, &mut self.pairs[d], &mut self.devs[d], d, n, t, &mut self.g)?;
-            self.index.mark(d);
+            self.mark(d);
         }
         Ok(())
     }
@@ -1577,11 +1661,69 @@ impl<'e, 'a> FleetRun<'e, 'a> {
     /// nested parallelism); two or more fan out across the pool.
     /// Mispredictions waste a compile but are report- and
     /// counter-invisible: staged results only surface through `get`.
+    ///
+    /// Only devices whose routing key launches before `t_next` can
+    /// contribute (a device's key is its earliest lane launch, `None`
+    /// when blocked, idle or halted), so the fresh [`RouteIndex`] walk
+    /// lists them — ascending, so the compile list keeps its
+    /// device-major order. `MEMCNN_FLEET_LINEAR=1` scans every device;
+    /// debug builds compare the two lists.
     fn batch_compile(&mut self, t_next: Option<f64>) {
         let ctx = self.commit_ctx();
+        let mut visit = std::mem::take(&mut self.compile_buf);
+        visit.clear();
+        if self.linear {
+            visit.extend(0..self.k);
+        } else {
+            self.index.walk_before(t_next, &mut visit);
+        }
+        let (compiles, waiters) = self.predict_compiles(&ctx, t_next, &visit);
+        debug_assert!(
+            self.linear
+                || (compiles.clone(), waiters.clone())
+                    == self.predict_compiles(&ctx, t_next, &(0..self.k).collect::<Vec<_>>()),
+            "index-pruned batch compile diverged from the full scan"
+        );
+        self.compile_buf = visit;
+        if compiles.is_empty() {
+            return;
+        }
+        BATCH_COMPILES.add(compiles.len() as u64);
+        let results: Vec<Result<Plan, EngineError>> = if compiles.len() == 1 {
+            let (d, n, b) = compiles[0];
+            vec![self.pairs[d][n].cache.compile_detached(b)]
+        } else {
+            let pairs = &self.pairs;
+            let jobs: Vec<(usize, (usize, usize, usize))> =
+                compiles.iter().copied().enumerate().collect();
+            let fork = trace::fork();
+            let out = rayon::scope_map(jobs, |(i, (d, n, b))| {
+                let _w = fork.attach(i);
+                pairs[d][n].cache.compile_detached(b)
+            });
+            fork.merge();
+            out
+        };
+        for ((&(_, _, b), ws), result) in compiles.iter().zip(&waiters).zip(results) {
+            for &(d, n) in ws {
+                self.pairs[d][n].cache.stage(b, result.clone());
+            }
+        }
+    }
+
+    /// The distinct cold compiles (and the pairs waiting on each) that
+    /// the commits before `t_next` on `devices` would hit.
+    #[allow(clippy::type_complexity)]
+    fn predict_compiles(
+        &self,
+        ctx: &CommitCtx,
+        t_next: Option<f64>,
+        devices: &[usize],
+    ) -> (Vec<(usize, usize, usize)>, Vec<Vec<(usize, usize)>>) {
         let mut compiles: Vec<(usize, usize, usize)> = Vec::new();
         let mut waiters: Vec<Vec<(usize, usize)>> = Vec::new();
-        for (d, pairs_d) in self.pairs.iter().enumerate() {
+        for &d in devices {
+            let pairs_d = &self.pairs[d];
             if self.devs[d].blocked {
                 continue; // a Down device commits nothing
             }
@@ -1623,30 +1765,7 @@ impl<'e, 'a> FleetRun<'e, 'a> {
                 }
             }
         }
-        if compiles.is_empty() {
-            return;
-        }
-        BATCH_COMPILES.add(compiles.len() as u64);
-        let results: Vec<Result<Plan, EngineError>> = if compiles.len() == 1 {
-            let (d, n, b) = compiles[0];
-            vec![self.pairs[d][n].cache.compile_detached(b)]
-        } else {
-            let pairs = &self.pairs;
-            let jobs: Vec<(usize, (usize, usize, usize))> =
-                compiles.iter().copied().enumerate().collect();
-            let fork = trace::fork();
-            let out = rayon::scope_map(jobs, |(i, (d, n, b))| {
-                let _w = fork.attach(i);
-                pairs[d][n].cache.compile_detached(b)
-            });
-            fork.merge();
-            out
-        };
-        for ((&(_, _, b), ws), result) in compiles.iter().zip(&waiters).zip(results) {
-            for &(d, n) in ws {
-                self.pairs[d][n].cache.stage(b, result.clone());
-            }
-        }
+        (compiles, waiters)
     }
 }
 
@@ -1776,8 +1895,6 @@ pub fn serve_fleet(
             preempt: 0,
             halt: health.as_ref().map_or(f64::INFINITY, |h| h.devs[d].halt()),
             blocked: false,
-            queued_requests: 0,
-            queued_images: 0,
         })
         .collect();
 
@@ -1820,6 +1937,7 @@ pub fn serve_fleet(
         cache_lookups: 0,
         cache_hits: 0,
         fleet_shed: 0,
+        queued: QueueCounts::new(k),
         slo: slo_globals,
     };
     let phase_bounds: Vec<f64> = {
@@ -1833,6 +1951,7 @@ pub fn serve_fleet(
         bounds
     };
     let n_requests = requests.len();
+    let linear = crate::env_flag("MEMCNN_FLEET_LINEAR", "using the indexed router");
     let mut run = FleetRun {
         engines,
         nets,
@@ -1842,6 +1961,8 @@ pub fn serve_fleet(
         pairs,
         devs,
         placer: cfg.placement.build(),
+        qw_index: (cfg.placement == Placement::QueueWeighted && !linear)
+            .then(|| PlacementIndex::new(k)),
         g,
         delay: DelayState {
             policy_delay: cfg.policy.max_queue_delay,
@@ -1864,8 +1985,10 @@ pub fn serve_fleet(
         }),
         health,
         index: RouteIndex::new(k),
-        linear: crate::env_flag("MEMCNN_FLEET_LINEAR", "using the indexed router"),
+        linear,
         loads_buf: Vec::new(),
+        cands_buf: Vec::new(),
+        compile_buf: Vec::new(),
     };
     run.run()?;
     let FleetRun { pairs, devs, g, slo_run, health, .. } = run;

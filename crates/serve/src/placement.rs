@@ -1,9 +1,12 @@
 //! Placement policies: which device a routed request joins.
 //!
-//! The fleet's event loop routes every arrival through a
-//! [`PlacementPolicy`] with a snapshot of per-device load
-//! ([`DeviceLoad`]). Policies are deterministic — same snapshot, same
-//! answer — so the whole fleet run stays a pure function of its config.
+//! A [`PlacementPolicy`] picks a device from a snapshot of per-device
+//! load ([`DeviceLoad`]). Policies are deterministic — same snapshot,
+//! same answer — so the whole fleet run stays a pure function of its
+//! config. The fleet answers most [`QueueWeighted`] arrivals without a
+//! snapshot: the crate-private `PlacementIndex` keeps that policy's
+//! total order over devices in a tournament tree and returns the same
+//! pick in O(log K).
 //!
 //! Three implementations ship:
 //!
@@ -26,6 +29,7 @@
 //!   one runs natively.
 
 use crate::batch::bucket_for;
+use crate::route_index::{Marks, Tournament};
 use serde::Serialize;
 
 /// Load snapshot of one device at routing time.
@@ -194,6 +198,113 @@ impl PlacementPolicy for MemoryAware {
     }
 }
 
+/// What the placement index orders one device by.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PlaceKey {
+    /// Health rank, the leading key: the candidate set of a placement
+    /// is the lowest rank present in the fleet.
+    pub rank: u8,
+    /// Queued images on the device.
+    pub images: usize,
+    /// When the device's GPU frees up.
+    pub gpu_free: f64,
+}
+
+/// An incrementally maintained [`QueueWeighted`] index: the policy's
+/// pick in O(log K) instead of a K-wide load snapshot per arrival.
+///
+/// The policy orders `(images, max(gpu_free, now), d)` over the
+/// candidates, and a placement's candidates are the devices of the
+/// lowest health rank present, so with the rank as the leading key the
+/// health fallback is part of one total order `(rank, images,
+/// max(gpu_free, now), d)`. One tree holds every device by `(rank,
+/// images, gpu_free, d)`. Its winner `w` opens the candidate class
+/// `(rank, images)`; if `w.gpu_free > now` every class member is busy
+/// and ordered by its own `gpu_free`, so `w` is the pick. Otherwise the
+/// class members with `gpu_free <= now` all rank as `now` and beat every
+/// busy one, and the lowest-index of them is the pick: one left-first
+/// descent.
+///
+/// `pick` returns `None` at `now == 0.0` (`max` of two signed zeros may
+/// return either, so an idle device's key could differ from `now` in
+/// sign), and the caller scans the snapshot instead. The other policies
+/// always scan the snapshot.
+pub(crate) struct PlacementIndex {
+    keys: Vec<PlaceKey>,
+    marks: Marks,
+    tree: Tournament,
+    now: f64,
+}
+
+fn qw_beats(keys: &[PlaceKey], right: usize, left: usize) -> bool {
+    let (r, l) = (&keys[right], &keys[left]);
+    (r.rank, r.images)
+        .cmp(&(l.rank, l.images))
+        .then_with(|| r.gpu_free.total_cmp(&l.gpu_free))
+        .is_lt()
+}
+
+impl PlacementIndex {
+    /// An index over `k` devices, every key stale.
+    pub(crate) fn new(k: usize) -> PlacementIndex {
+        PlacementIndex {
+            keys: vec![PlaceKey { rank: 0, images: 0, gpu_free: 0.0 }; k],
+            marks: Marks::new(k),
+            tree: Tournament::new(k),
+            now: 0.0,
+        }
+    }
+
+    /// Mark device `d`'s key stale.
+    pub(crate) fn mark(&mut self, d: usize) {
+        self.marks.mark(d);
+    }
+
+    /// Mark every key stale.
+    pub(crate) fn mark_all(&mut self) {
+        self.marks.mark_all();
+    }
+
+    /// Recompute the stale keys via `key_of` for a placement at `now`
+    /// and repair the tree: O(K) after `mark_all`, O(dirty · log K)
+    /// otherwise.
+    pub(crate) fn refresh<F: FnMut(usize) -> PlaceKey>(&mut self, now: f64, mut key_of: F) {
+        self.now = now;
+        let k = self.keys.len();
+        if self.marks.take_all() {
+            for d in 0..k {
+                self.keys[d] = key_of(d);
+            }
+            let keys = &self.keys;
+            self.tree.rebuild(k, |_| true, |r, l| qw_beats(keys, r, l));
+        }
+        while let Some(d) = self.marks.pop() {
+            self.keys[d] = key_of(d);
+            let keys = &self.keys;
+            self.tree.update(d, true, |r, l| qw_beats(keys, r, l));
+        }
+    }
+
+    /// The policy's pick among the lowest-rank devices at the refreshed
+    /// `now`, or `None` where only the snapshot scan is exact (see the
+    /// type docs).
+    pub(crate) fn pick(&self) -> Option<usize> {
+        debug_assert!(self.marks.is_clean(), "PlacementIndex::pick called before refresh");
+        let (keys, now) = (&self.keys, self.now);
+        if now == 0.0 {
+            return None;
+        }
+        let w = self.tree.root()?;
+        if keys[w].gpu_free > now {
+            return Some(w);
+        }
+        let (rank, images) = (keys[w].rank, keys[w].images);
+        self.tree.leftmost(|d| {
+            keys[d].rank == rank && keys[d].images == images && keys[d].gpu_free <= now
+        })
+    }
+}
+
 /// Serializable selector for the shipped policies (configs carry this;
 /// [`Placement::build`] instantiates the live state).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
@@ -309,6 +420,86 @@ mod tests {
         // differ); QueueWeighted alternates.
         assert_eq!(ll_picks, vec![1; 6]);
         assert_eq!(qw_picks, vec![1, 0, 1, 0, 1, 0]);
+    }
+
+    /// Deterministic xorshift so the property test needs no rand dep.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+        fn below(&mut self, n: u64) -> usize {
+            (self.next() % n) as usize
+        }
+    }
+
+    /// A device key on a coarse grid around `now`, so exact `gpu_free`
+    /// ties (with each other and with `now`) and signed zeros happen.
+    fn random_key(rng: &mut Rng, now: f64, rank: u8) -> PlaceKey {
+        let gpu_free = match rng.below(6) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => now,
+            r => now + (r as f64 - 3.5) * 0.25,
+        };
+        PlaceKey { rank, images: rng.below(4), gpu_free }
+    }
+
+    #[test]
+    fn placement_index_matches_queue_weighted() {
+        // Property test: across fleet sizes, randomized keys with mixed
+        // health ranks (an all-Down fleet included), a non-decreasing
+        // clock, and incremental marks, every indexed pick equals the
+        // linear policy's over the lowest-rank candidates.
+        for k in [1usize, 2, 3, 5, 8, 13, 64] {
+            let mut rng = Rng(0x9E3779B97F4A7C15 ^ (k as u64) << 20 | 2);
+            let mut idx = PlacementIndex::new(k);
+            let mut keys = vec![PlaceKey { rank: 0, images: 0, gpu_free: 0.0 }; k];
+            let mut now = 0.0f64;
+            let mut answered = 0usize;
+            for round in 0..400 {
+                // Ranks: uniform for stretches, mixed, or the whole
+                // fleet Down.
+                let mode = (round / 50) % 4;
+                let rank_of = |rng: &mut Rng| match mode {
+                    0 => 0,
+                    1 => rng.below(4) as u8,
+                    2 => 3,
+                    _ => [0, 1, 2, 3, 3, 3][rng.below(6)],
+                };
+                if round % 50 == 0 || round % 37 == 0 {
+                    for key in keys.iter_mut() {
+                        let rank = rank_of(&mut rng);
+                        *key = random_key(&mut rng, now, rank);
+                    }
+                    idx.mark_all();
+                } else {
+                    for _ in 0..=rng.below(3) {
+                        let d = rng.below(k as u64);
+                        let rank = rank_of(&mut rng);
+                        keys[d] = random_key(&mut rng, now, rank);
+                        idx.mark(d);
+                    }
+                }
+                idx.refresh(now, |d| keys[d]);
+                let lowest = keys.iter().map(|x| x.rank).min().unwrap_or(0);
+                let cands: Vec<DeviceLoad> = (0..k)
+                    .filter(|&d| keys[d].rank == lowest)
+                    .map(|d| load(d, keys[d].gpu_free, keys[d].images, 64))
+                    .collect();
+                let want = QueueWeighted.place(&ctx(&cands, now, 1));
+                if let Some(got) = idx.pick() {
+                    answered += 1;
+                    assert_eq!(got, want, "k={k} round={round} now={now}");
+                }
+                // The clock never goes back; often it stands still.
+                now += [0.0, 0.0, 0.125, 0.25, 1.0][rng.below(5)];
+            }
+            assert!(answered > 300, "k={k}: index answered {answered}");
+        }
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //! target's test scratch directory (the path is in the panic message),
 //! so the two files can be diffed directly.
 
-use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, Network, NetworkBuilder};
+use memcnn::core::{Engine, LayoutPolicy, LayoutThresholds, Mechanism, Network, NetworkBuilder};
 use memcnn::gpusim::{DeviceConfig, DeviceFaultPlan, FaultPlan};
 use memcnn::serve::{
-    serve, serve_fleet, Arrival, BatchPolicy, FaultPolicy, FleetConfig, Phase, Placement,
-    ServeConfig, TenantSpec, WorkloadConfig,
+    capacity_images_per_sec, feasible_max_batch, serve, serve_fleet, Arrival, BatchPolicy,
+    FaultPolicy, FleetConfig, Phase, Placement, ServeConfig, TenantSpec, WorkloadConfig,
 };
 use memcnn::tensor::Shape;
 use memcnn::trace::{self, Track};
@@ -262,4 +262,87 @@ fn serving_spans_match_golden() {
     lines.sort();
     assert!(lines.iter().any(|l| l.starts_with("fleet\t")), "no fleet spans");
     check("spans_fleet_tenants.txt", &(lines.join("\n") + "\n"));
+}
+
+/// The stream bench's tiny network: one small conv and a pool.
+fn stream_net() -> Network {
+    NetworkBuilder::new("stream-tiny", Shape::new(1, 4, 16, 16))
+        .conv("CV", 8, 3, 1, 1)
+        .max_pool("PL", 2, 2)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn indexed_placement_fleet_reports_match_golden() {
+    // The stream shape at K=64: QueueWeighted, class-blind, no faults, at
+    // 90% of the fleet's capacity so idle and busy devices mix.
+    let engine = black();
+    let net = stream_net();
+    let (max, top) =
+        feasible_max_batch(&engine, &net, Mechanism::Opt, &[256, 128, 64, 32]).unwrap();
+    let policy = BatchPolicy::new(max, (0.25 * top.total_time()).max(1e-4));
+    let rate = 0.9 * capacity_images_per_sec(max, &top) * 64.0 / 2.5;
+    let mut wl = WorkloadConfig::poisson(rate, 6000.0 / rate, 4242);
+    (wl.images_min, wl.images_max) = (1, 4);
+    let sixty_four: Vec<&Engine> = std::iter::repeat_n(&engine, 64).collect();
+    let qw = FleetConfig::new(wl, policy, Placement::QueueWeighted);
+    let k64 = serve_fleet(&sixty_four, std::slice::from_ref(&net), &qw).unwrap();
+    assert!(k64.requests > 5000);
+    check_json("fleet_qw_k64", &serde_json::to_string(&k64).unwrap());
+
+    // K=8 QueueWeighted with tenants, transient faults, and device
+    // faults that leave no Healthy device for a while: half the fleet
+    // drains with work queued and the other half crashes just after, so
+    // placement falls back to Draining, then to the all-Down fleet, then
+    // to Warming spares. Near the end of the stream the whole fleet
+    // crashes in two waves, so work queued on (and failed over from) the
+    // second wave is still waiting when routing ends, and the flush
+    // re-places it onto the first wave's Warming spares.
+    let net = conv_net("qw-health-net");
+    let wl = WorkloadConfig {
+        phases: vec![Phase { arrival: Arrival::Poisson { rate: 3000.0 }, duration: 0.3 }],
+        images_min: 1,
+        images_max: 8,
+        seed: 515,
+    };
+    let mut faults = DeviceFaultPlan::new(5, 2.0, 1.0, 1.0).with_repair(0.03).with_warmup(0.03);
+    for d in 0..4 {
+        faults = faults.drain_at(0.08, d + 4).crash_at(0.081, d);
+        faults = faults.crash_at(0.25, d).crash_at(0.275, d + 4);
+    }
+    let (plan, pol) = faulty();
+    let cfg = FleetConfig::new(wl, BatchPolicy::new(64, 0.01), Placement::QueueWeighted)
+        .with_tenants(tenants())
+        .with_faults(plan, pol)
+        .with_device_faults(faults);
+    let eight: Vec<&Engine> = vec![&engine; 8];
+    let qw_health = serve_fleet(&eight, std::slice::from_ref(&net), &cfg).unwrap();
+    let h = qw_health.health.as_ref().expect("device faults are live");
+    assert!(h.downs >= 8 && h.ups > 0 && h.requeued > 0, "{h:?}");
+    assert!(qw_health.faults.injected > 0, "transient faults must fire");
+    check_json("fleet_qw_health_tenants", &serde_json::to_string(&qw_health).unwrap());
+
+    // LeastLoaded under device faults (placed by the snapshot scan over
+    // the lowest health rank) at a load where some devices sit idle
+    // while others are busy when an arrival is placed.
+    let net = conv_net("ll-health-net");
+    let wl = WorkloadConfig {
+        phases: vec![Phase { arrival: Arrival::Poisson { rate: 1500.0 }, duration: 0.3 }],
+        images_min: 1,
+        images_max: 8,
+        seed: 616,
+    };
+    let faults = DeviceFaultPlan::new(9, 3.0, 1.0, 2.0)
+        .with_repair(0.02)
+        .with_warmup(0.01)
+        .crash_at(0.1, 2)
+        .drain_at(0.12, 4);
+    let cfg = FleetConfig::new(wl, BatchPolicy::new(32, 0.003), Placement::LeastLoaded)
+        .with_device_faults(faults);
+    let six: Vec<&Engine> = vec![&engine; 6];
+    let ll_health = serve_fleet(&six, std::slice::from_ref(&net), &cfg).unwrap();
+    let h = ll_health.health.as_ref().expect("device faults are live");
+    assert!(h.downs >= 2 && h.ups > 0, "{h:?}");
+    check_json("fleet_ll_health", &serde_json::to_string(&ll_health).unwrap());
 }
